@@ -55,8 +55,9 @@ serve-smoke:
 	$(PYTHON) -m repro serve --smoke
 
 # compiled-backend smoke: the serial wallclock suite through
-# kernels="compiled" at tiny n (auto-falls back to "fast" when no JIT
-# provider exists — the printed rows record the backend that ran)
+# kernels="compiled" at tiny n (auto-falls back to "fast" when the C
+# kernel library cannot be built — the printed rows record the backend
+# that ran)
 bench-compiled:
 	$(PYTHON) -m repro bench --smoke --suite wallclock --engines serial --kernels compiled
 

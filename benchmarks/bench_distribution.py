@@ -5,8 +5,8 @@ reverse transposition) under both the reference implementation and the
 fused single-pass one at n = 2^18, m = 4, and writes
 ``BENCH_distribution.json`` at the repo root (row schema: bench, n, m,
 path, seconds, ops_per_s, plus the host ``cpus`` the run had and the
-``kernels`` backend counting_scatter resolved — "compiled" when a JIT
-provider serviced the fused multisplit, "fast" otherwise).
+``kernels`` backend counting_scatter resolved — "compiled" when the C
+kernel library serviced the fused multisplit, "fast" otherwise).
 
 The fused path must deliver at least a 2x end-to-end speedup on these
 phases while staying bit-identical to the reference — the equivalence

@@ -57,7 +57,7 @@ class DistributionRecord:
     #: host cores the run had (records stay interpretable across boxes)
     cpus: int = 0
     #: scatter backend the fused multisplit resolved ("compiled" when a
-    #: JIT provider serviced counting_scatter, else "fast")
+    #: kernel library serviced counting_scatter, else "fast")
     kernels: str = "fast"
     #: slot storage policy of the cascade the phases fed ("aos" | "soa"
     #: | "compact") — the host distribution phases move packed pairs

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from ..core.config import HashTableConfig
 from ..core.growth import GrowthPolicy
-from ..core.kernels_jit import slot_planes, warm
+from ..core.kernels_jit import warm
 from ..core.table import WarpDriveHashTable
 from ..errors import ConfigurationError
 from ..exec.engine import ShardKernelTask, available_backends, create_engine
@@ -104,20 +104,6 @@ class WallClockRecord:
         )
 
 
-def _warm_compiled(table) -> None:
-    """Warm the in-process JIT cache so compile time stays off the clock.
-
-    The compiled path attributes compilation to a ``jit_compile`` span;
-    warming here keeps that span out of the measured rows for in-process
-    engines (serial/thread).  Process workers warm themselves on first
-    task, which then *is* on the clock — cold-start rows say so via the
-    engine column.
-    """
-    planes = slot_planes(table.slots)
-    if planes is not None:
-        warm(table.seq.name, planes[0])
-
-
 def bench_single_shard(
     engine: str,
     n: int,
@@ -177,7 +163,10 @@ def bench_single_shard(
         )
         try:
             if kernels == "compiled":
-                _warm_compiled(table)
+                # load the kernel library off the clock; process workers
+                # load it on their first task, which then *is* on the
+                # clock — cold-start rows say so via the engine column
+                warm()
             for op, payload in (("insert", values), ("query", None)):
                 task = ShardKernelTask(
                     shard=0,
@@ -261,7 +250,7 @@ def bench_cascade(
     )
     try:
         if kernels == "compiled":
-            _warm_compiled(table.shards[0])
+            warm()
         t0 = time.perf_counter()
         report = table.insert(keys, values, source="device")
         seconds = time.perf_counter() - t0
@@ -318,7 +307,7 @@ def bench_growth(
     )
     try:
         if kernels == "compiled":
-            _warm_compiled(table.shards[0])
+            warm()
         batches = list(
             zip(np.array_split(keys, chunks), np.array_split(values, chunks))
         )

@@ -1127,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fast", "ref", "compiled"),
         default="fast",
         help="kernel backend for the wallclock suite (compiled falls "
-        "back to fast without a JIT provider; rows record what ran)",
+        "back to fast without the C kernel library; rows record what ran)",
     )
     bench.add_argument(
         "--out", default=None, help="also write records to this JSON path"

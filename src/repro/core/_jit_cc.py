@@ -1,17 +1,17 @@
-"""C toolchain provider for the ``kernels="compiled"`` backend.
+"""The C kernel library behind ``kernels="compiled"``.
 
-When numba is not installed but a host C compiler is, this module gives
-``kernels="compiled"`` a real compiled path instead of a fallback: the
-scalar loops of :mod:`repro.core.kernels_jit` are emitted as C (a
-line-for-line transcription — same phase order, same counter charges,
-same sorted-claim arbitration), built once into a shared library, and
-launched through ctypes.  The ``.so`` is disk-cached under
-``~/.cache/repro-jit`` keyed by a hash of the source text, so a process
-pays the compile exactly once per source revision and workers attach to
-the cached artifact.
+The wave/round loops of :mod:`repro.core.bulk` are transcribed to C here
+(same phase order, same counter charges, same claim arbitration), built
+once into a shared library, and launched through ctypes by
+:mod:`repro.core.kernels_jit`.  The ``.so`` is disk-cached under
+``REPRO_JIT_CACHE_DIR`` (default ``~/.cache/repro-jit``), keyed by a hash
+of the source text, so a process pays the compile at most once per source
+revision and workers attach to the cached artifact.  Probing parameters
+arrive as arguments and the layout as a flag, so one library serves every
+``(probing, layout)`` policy pair.
 
 ctypes releases the GIL around every call, so the thread engine gets
-genuine shard parallelism out of this provider for free.
+genuine shard parallelism out of this library for free.
 
 The exported functions return an int status (0 = ok, 1 = scratch
 allocation failed) so OOM surfaces as a Python exception rather than a
@@ -29,6 +29,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from ..obs import runtime as obs
 
 _SOURCE_TEMPLATE = r"""
 #include <stdint.h>
@@ -132,12 +134,11 @@ static int cmp_i64(const void *a, const void *b) {
 int repro_insert(int64_t soa, uint64_t *packed, uint32_t *kp, uint32_t *vp,
                  int64_t capacity, int64_t g, int64_t inner,
                  int64_t max_windows, int64_t wave, int64_t spw,
-                 const uint32_t *h1, const uint32_t *step,
+                 int64_t n, const uint32_t *h1, const uint32_t *step,
                  const uint32_t *keys, const uint64_t *pairs,
                  uint8_t *status, int64_t *probes, int64_t *counters) {
     const uint64_t EW = soa == 2 ? CEMPTY_W : EMPTY_W;
     const uint64_t TW = soa == 2 ? CTOMB_W : TOMB_W;
-    int64_t n = counters[5];  /* n smuggled in; restored before return */
     int64_t ring_cap = n < wave ? n : wave;
     if (ring_cap < 1) ring_cap = 1;
     int64_t *scratch = malloc((size_t)(ring_cap * 6 + n * 2)
@@ -279,19 +280,17 @@ int repro_insert(int64_t soa, uint64_t *packed, uint32_t *kp, uint32_t *vp,
     counters[2] += att;
     counters[3] += succ;
     counters[4] += warp;
-    counters[5] = 0;
     free(scratch);
     return 0;
 }
 
 int repro_query(int64_t soa, uint64_t *packed, uint32_t *kp, uint32_t *vp,
                 int64_t capacity, int64_t g, int64_t inner,
-                int64_t max_windows, int64_t spw,
+                int64_t max_windows, int64_t spw, int64_t n,
                 const uint32_t *h1, const uint32_t *step,
                 const uint32_t *keys, uint32_t *values, uint8_t *found,
                 int64_t *probes, int64_t *counters) {
     const uint64_t EW = soa == 2 ? CEMPTY_W : EMPTY_W;
-    int64_t n = counters[5];
     int64_t cap = n > 0 ? n : 1;
     int64_t *scratch = malloc((size_t)(cap * 4) * sizeof(int64_t));
     if (!scratch) return 1;
@@ -346,20 +345,18 @@ int repro_query(int64_t soa, uint64_t *packed, uint32_t *kp, uint32_t *vp,
     }
     counters[0] += load_s;
     counters[4] += warp;
-    counters[5] = 0;
     free(scratch);
     return 0;
 }
 
 int repro_erase(int64_t soa, uint64_t *packed, uint32_t *kp, uint32_t *vp,
                 int64_t capacity, int64_t g, int64_t inner,
-                int64_t max_windows, int64_t spw,
+                int64_t max_windows, int64_t spw, int64_t n,
                 const uint32_t *h1, const uint32_t *step,
                 const uint32_t *keys, uint8_t *erased,
                 int64_t *probes, int64_t *counters) {
     const uint64_t EW = soa == 2 ? CEMPTY_W : EMPTY_W;
     const uint64_t TW = soa == 2 ? CTOMB_W : TOMB_W;
-    int64_t n = counters[5];
     int64_t cap = n > 0 ? n : 1;
     int64_t *scratch = malloc((size_t)(cap * 4 + cap * g) * sizeof(int64_t)
                               + (size_t)cap);
@@ -443,7 +440,6 @@ int repro_erase(int64_t soa, uint64_t *packed, uint32_t *kp, uint32_t *vp,
     counters[2] += att;
     counters[3] += succ;
     counters[4] += warp;
-    counters[5] = 0;
     free(scratch);
     return 0;
 }
@@ -506,8 +502,10 @@ _U8P = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
 _I64P = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _I64 = ctypes.c_int64
 
-_LIB = None
-_LIB_FAILED = False
+#: the loaded library; False once building or loading it failed
+_LIB: ctypes.CDLL | bool | None = None
+#: why the library is unavailable (set together with ``_LIB = False``)
+_ERROR: str | None = None
 
 
 def _compiler() -> str | None:
@@ -515,17 +513,6 @@ def _compiler() -> str | None:
         if name and shutil.which(name):
             return name
     return None
-
-
-def compiler_available() -> bool:
-    """True when a C toolchain can (or already did) build the library."""
-    if _LIB is not None:
-        return True
-    if _LIB_FAILED:
-        return False
-    if _cached_so().exists():
-        return True
-    return _compiler() is not None
 
 
 def _cache_dir() -> Path:
@@ -543,43 +530,36 @@ def _cached_so() -> Path:
 def _build_so(target: Path) -> None:
     cc = _compiler()
     if cc is None:
-        raise RuntimeError("no C compiler found for the cc JIT provider")
+        raise RuntimeError("no C compiler found on PATH")
     target.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
         csrc = Path(tmp) / "repro_kernels.c"
         csrc.write_text(_SOURCE)
         tmp_so = Path(tmp) / "repro_kernels.so"
-        subprocess.run(
+        done = subprocess.run(
             [cc, *_CFLAGS, str(csrc), "-o", str(tmp_so)],
-            check=True,
             capture_output=True,
+            text=True,
         )
+        if done.returncode != 0:
+            first = (done.stderr.strip().splitlines() or [""])[0]
+            raise RuntimeError(
+                f"C compiler {cc!r} exited with status {done.returncode}"
+                + (f": {first}" if first else "")
+            )
         os.replace(tmp_so, target)  # atomic: concurrent workers race safely
 
 
-def _load_library():
-    global _LIB, _LIB_FAILED
-    if _LIB is not None:
-        return _LIB
-    if _LIB_FAILED:
-        raise RuntimeError("cc JIT provider previously failed to build")
-    so_path = _cached_so()
-    try:
-        if not so_path.exists():
-            _build_so(so_path)
-        lib = ctypes.CDLL(str(so_path))
-    except Exception:
-        _LIB_FAILED = True
-        raise
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     common = [_I64, _U64P, _U32P, _U32P, _I64, _I64, _I64, _I64]
     lib.repro_insert.argtypes = common + [
-        _I64, _I64, _U32P, _U32P, _U32P, _U64P, _U8P, _I64P, _I64P,
+        _I64, _I64, _I64, _U32P, _U32P, _U32P, _U64P, _U8P, _I64P, _I64P,
     ]
     lib.repro_query.argtypes = common + [
-        _I64, _U32P, _U32P, _U32P, _U32P, _U8P, _I64P, _I64P,
+        _I64, _I64, _U32P, _U32P, _U32P, _U32P, _U8P, _I64P, _I64P,
     ]
     lib.repro_erase.argtypes = common + [
-        _I64, _U32P, _U32P, _U32P, _U8P, _I64P, _I64P,
+        _I64, _I64, _U32P, _U32P, _U32P, _U8P, _I64P, _I64P,
     ]
     lib.repro_counting_scatter.argtypes = [
         _I64P, _I64, _I64, _I64P, _I64P, _I64P,
@@ -593,82 +573,31 @@ def _load_library():
         lib.repro_reverse_gather,
     ):
         fn.restype = ctypes.c_int
-    _LIB = lib
     return lib
 
 
-def _check(status: int) -> None:
-    if status != 0:
-        raise MemoryError("cc JIT kernel could not allocate scratch memory")
+def load() -> ctypes.CDLL | None:
+    """The kernel library, built or loaded once per process; None on failure.
 
-
-def build_loops(layout: str) -> dict:
-    """An op table with the same call signature as the numba/interp loops.
-
-    ``n`` rides in ``counters[5]`` (the wrappers allocate 5 live counter
-    cells; the cc table asks for a sixth) to keep the ctypes prototypes
-    uniform; the C side zeroes it before returning.
+    Availability means *the library loaded*: a compiler on ``PATH`` that
+    cannot build it counts as no compiler.  The first call runs under the
+    process's one ``jit_compile`` span, so build (or cache-load) time is
+    attributable and never lands in a measured kernel row.  The outcome,
+    success or failure, is cached for the life of the process.
     """
-    lib = _load_library()
-    soa = {"aos": 0, "soa": 1, "compact": 2}[layout]
-    # found/erased arrive as np.bool_ arrays; ctypes sees them as uint8
-    u8 = lambda a: a.view(np.uint8)  # noqa: E731
-
-    def insert_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, wave, spw,
-        h1, step, keys, pairs, status, probes, counters,
-    ):
-        c6 = np.zeros(6, np.int64)
-        c6[:5] = counters
-        c6[5] = keys.shape[0]
-        _check(lib.repro_insert(
-            soa, packed, kp, vp, capacity, g, inner, max_windows, wave,
-            spw, h1, step, keys, pairs, status, probes, c6,
-        ))
-        counters[:] = c6[:5]
-
-    def query_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, spw,
-        h1, step, keys, values, found, probes, counters,
-    ):
-        c6 = np.zeros(6, np.int64)
-        c6[:5] = counters
-        c6[5] = keys.shape[0]
-        _check(lib.repro_query(
-            soa, packed, kp, vp, capacity, g, inner, max_windows,
-            spw, h1, step, keys, values, u8(found), probes, c6,
-        ))
-        counters[:] = c6[:5]
-
-    def erase_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, spw,
-        h1, step, keys, erased, probes, counters,
-    ):
-        c6 = np.zeros(6, np.int64)
-        c6[:5] = counters
-        c6[5] = keys.shape[0]
-        _check(lib.repro_erase(
-            soa, packed, kp, vp, capacity, g, inner, max_windows,
-            spw, h1, step, keys, u8(erased), probes, c6,
-        ))
-        counters[:] = c6[:5]
-
-    return {"insert": insert_loop, "query": query_loop, "erase": erase_loop}
-
-
-def scatter_permutation_compiled(bins, n, num_bins, src, counts,
-                                 offsets) -> None:
-    """Fused histogram + stable bin-order permutation.
-
-    Fills ``src`` (the stable argsort of ``bins``), ``counts``, and
-    exclusive ``offsets`` in one C pass; the caller gathers values with
-    ``out = arr[src]``, which keeps the path dtype-generic.
-    """
-    lib = _load_library()
-    _check(lib.repro_counting_scatter(bins, n, num_bins, src, counts, offsets))
-
-
-def reverse_gather_compiled(counts, bases, num_parts, out) -> None:
-    """Expand per-partition (base, count) ranges into gather indices."""
-    lib = _load_library()
-    _check(lib.repro_reverse_gather(counts, bases, num_parts, out))
+    global _LIB, _ERROR
+    if _LIB is None:
+        so_path = _cached_so()
+        cached = so_path.exists()
+        with obs.span(
+            "jit_compile", "kernel", kernels="compiled", provider="cc",
+            cached=cached,
+        ):
+            try:
+                if not cached:
+                    _build_so(so_path)
+                _LIB = _bind(ctypes.CDLL(str(so_path)))
+            except (OSError, RuntimeError) as exc:
+                _LIB = False
+                _ERROR = str(exc)
+    return _LIB or None

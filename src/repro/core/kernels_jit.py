@@ -1,53 +1,37 @@
 """Compiled bulk kernels — the ``kernels="compiled"`` backend.
 
 The fast bulk executors of :mod:`repro.core.bulk` interpret the probing
-policy with vectorized NumPy passes; this module lowers the *same*
-wave/round algorithm to scalar inner loops and compiles them once per
-``(probing, layout)`` policy pair, WarpCore-style: specialize at compile
-time, launch many times.  The compiled loops are **bit-identical** to
-the fast kernels — final slot contents, per-item statuses, probe-window
-arrays, and every :class:`~repro.core.report.KernelReport` counter field
+policy with vectorized NumPy passes; this module runs the *same*
+wave/round algorithm as scalar C loops, WarpCore-style: specialize once,
+launch many times.  The compiled loops are **bit-identical** to the fast
+kernels — final slot contents, per-item statuses, probe-window arrays,
+and every :class:`~repro.core.report.KernelReport` counter field
 (property-tested in ``tests/core/test_compiled_kernels.py`` and
 ``tests/exec/test_compiled_equivalence.py``).
 
-Providers
----------
-``kernels="compiled"`` is a *policy*, not one dependency.  Three
-interchangeable providers implement it; the first available one wins:
-
-``numba``
-    The optional-dependency JIT path (``pip install repro[compiled]``).
-    The loop bodies below are compiled with ``@njit(nogil=True)``;
-    sentinel words and status codes are baked in as closure literals.
-
-``cc``
-    A ctypes fallback used when numba is absent but a C toolchain is
-    present: :mod:`repro.core._jit_cc` emits the identical loops as C,
-    builds a shared library once (disk-cached by source hash), and
-    launches it through ctypes.  Same results, same counters.
-
-``interp``
-    The undecorated loop bodies, run by the CPython interpreter.  Never
-    auto-selected (it is slower than ``"fast"``); forced via
-    ``REPRO_JIT_PROVIDER=interp`` so the equivalence suite can verify
-    the *algorithm* bit-for-bit on machines with no compiler at all.
-
-``REPRO_JIT_PROVIDER`` (``numba`` | ``cc`` | ``interp`` | ``none``)
-pins the ladder for tests and benchmarks.
+Provider
+--------
+One compiled provider, ``cc``: :mod:`repro.core._jit_cc` holds the C
+transcription, builds it once into a shared library disk-cached by
+source hash under ``REPRO_JIT_CACHE_DIR`` (default
+``~/.cache/repro-jit``), and the wrappers below launch it through
+ctypes.  ``REPRO_JIT_PROVIDER`` (``cc`` | ``none``) pins the choice;
+``none`` forces the fallback.
 
 Fallback rules
 --------------
 :func:`resolve_kernels` maps a requested backend to the one that can
 actually run, warning once per call-site owner:
 
-* no provider available → ``"fast"`` (the numba-less auto-fallback);
+* the library is unavailable (``REPRO_JIT_PROVIDER=none``, no C
+  compiler, or a compiler that fails to build it) → ``"fast"``;
 * sanitizer-instrumented slot stores → ``"fast"`` (compiled loops
   bypass the shadow instrumentation, so racecheck must keep the
   vectorized path).
 
-Compilation is wrapped in a ``jit_compile`` observability span and
-warmed explicitly (see :func:`warm`) so first-call compile time never
-pollutes measured kernel rows.
+The library is built or loaded once per process under a ``jit_compile``
+observability span; :func:`warm` does so eagerly, so first-call compile
+time never pollutes measured kernel rows.
 """
 
 from __future__ import annotations
@@ -57,12 +41,11 @@ import warnings
 
 import numpy as np
 
-from ..constants import EMPTY_SLOT, TOMBSTONE_SLOT
 from ..errors import ConfigurationError
 from ..memory.layout import pack_pairs
-from ..obs import runtime as obs
 from ..simt.counters import TransactionCounter
 from ..utils.validation import check_keys, check_same_length, check_values
+from . import _jit_cc
 from .bulk import (
     STATUS,
     _merge_counter,
@@ -74,10 +57,7 @@ from .probing import WindowSequence
 from .report import KernelReport
 
 __all__ = [
-    "NUMBA_AVAILABLE",
-    "PROVIDERS",
     "active_provider",
-    "available_providers",
     "compiled_available",
     "resolve_kernels",
     "reset_fallback_warnings",
@@ -87,45 +67,15 @@ __all__ = [
     "bulk_query_compiled",
     "bulk_erase_compiled",
     "scatter_permutation",
+    "reverse_gather_fill",
 ]
-
-try:  # optional dependency — the [compiled] extra
-    import numba  # noqa: F401  (availability probe)
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except Exception:  # pragma: no cover - exercised via the fallback tests
-    NUMBA_AVAILABLE = False
-    _njit = None
-
-#: provider ladder, in preference order
-PROVIDERS = ("numba", "cc", "interp")
-
-_EMPTY_W = np.uint64(EMPTY_SLOT)
-_TOMB_W = np.uint64(TOMBSTONE_SLOT)
-_S32 = np.uint64(32)
-_M32 = np.uint64(0xFFFFFFFF)
-
-_ST_PENDING = int(STATUS["pending"])
-_ST_INSERTED = int(STATUS["inserted"])
-_ST_UPDATED = int(STATUS["updated"])
-_ST_FAILED = int(STATUS["failed"])
 
 #: dummy planes for the layout that is not in use
 _NO_U64 = np.empty(0, dtype=np.uint64)
 _NO_U32 = np.empty(0, dtype=np.uint32)
 
-#: compile-once/launch-many cache: (provider, probing, layout) -> op table
-_LOOPS_CACHE: dict[tuple[str, str, str], dict] = {}
-
-#: compiled counting-scatter loop per provider
-_SCATTER_CACHE: dict[str, object] = {}
-
-#: compiled reverse-gather fill loops, one per provider
-_GATHER_CACHE: dict[str, object] = {}
-
-#: cc-toolchain probe result (None = not probed yet)
-_CC_STATE: dict[str, bool | None] = {"ok": None}
+#: the C side's layout mode flag (compact shares the SoA plane geometry)
+_LAYOUT_FLAG = {"aos": 0, "soa": 1, "compact": 2}
 
 #: call sites that already warned about a fallback
 _WARNED: set[tuple[str, str]] = set()
@@ -134,55 +84,36 @@ _WARNED: set[tuple[str, str]] = set()
 # -- provider resolution --------------------------------------------------
 
 
-def _cc_available() -> bool:
-    if _CC_STATE["ok"] is None:
-        from . import _jit_cc
-
-        _CC_STATE["ok"] = _jit_cc.compiler_available()
-    return bool(_CC_STATE["ok"])
+def _library():
+    """The loaded kernel library, or None when compiled kernels are off."""
+    forced = os.environ.get("REPRO_JIT_PROVIDER", "").strip().lower()
+    if forced == "none":
+        return None
+    if forced not in ("", "cc"):
+        raise ConfigurationError(
+            f"REPRO_JIT_PROVIDER must be 'cc' or 'none', got {forced!r}"
+        )
+    return _jit_cc.load()
 
 
 def active_provider() -> str | None:
-    """The provider ``kernels="compiled"`` resolves to (None = fallback).
-
-    ``REPRO_JIT_PROVIDER`` pins the choice; otherwise the first entry of
-    :data:`PROVIDERS` that can run wins (``interp`` is opt-in only).
-    """
-    forced = os.environ.get("REPRO_JIT_PROVIDER", "").strip().lower()
-    if forced:
-        if forced in ("none", "off"):
-            return None
-        if forced == "numba":
-            return "numba" if NUMBA_AVAILABLE else None
-        if forced == "cc":
-            return "cc" if _cc_available() else None
-        if forced == "interp":
-            return "interp"
-        raise ConfigurationError(
-            f"REPRO_JIT_PROVIDER must be one of {PROVIDERS + ('none',)}, "
-            f"got {forced!r}"
-        )
-    if NUMBA_AVAILABLE:
-        return "numba"
-    if _cc_available():
-        return "cc"
-    return None
-
-
-def available_providers() -> tuple[str, ...]:
-    """Providers that could run on this host (ignores the env pin)."""
-    out = []
-    if NUMBA_AVAILABLE:
-        out.append("numba")
-    if _cc_available():
-        out.append("cc")
-    out.append("interp")
-    return tuple(out)
+    """``"cc"`` when ``kernels="compiled"`` can run, None when it falls back."""
+    return "cc" if _library() is not None else None
 
 
 def compiled_available() -> bool:
     """True when ``kernels="compiled"`` would not fall back."""
-    return active_provider() is not None
+    return _library() is not None
+
+
+def warm() -> bool:
+    """Build or load the kernel library now (once per process).
+
+    Returns True when the compiled path is live, False when it would
+    fall back — callers warm before timing so the first measured launch
+    never pays the build.  Each worker process warms itself.
+    """
+    return compiled_available()
 
 
 def slot_planes(slots):
@@ -231,19 +162,21 @@ def resolve_kernels(kernels: str, *, slots=None, owner: str = "repro"):
     """Map a requested kernel backend to the one that can actually run.
 
     Anything but ``"compiled"`` passes through untouched.  A
-    ``"compiled"`` request resolves to ``"compiled"`` when a provider is
-    available and the slot store (if given) exposes raw planes; otherwise
-    it warns **once per owner** and resolves to ``"fast"`` — reports and
-    spans must record the *resolved* value, never the requested one.
+    ``"compiled"`` request resolves to ``"compiled"`` when the kernel
+    library is loaded and the slot store (if given) exposes raw planes;
+    otherwise it warns **once per owner** and resolves to ``"fast"`` —
+    reports and spans must record the *resolved* value, never the
+    requested one.
     """
     if kernels != "compiled":
         return kernels
-    if active_provider() is None:
+    if _library() is None:
+        reason = _jit_cc._ERROR or "REPRO_JIT_PROVIDER=none"
         _warn_once(
             (owner, "unavailable"),
-            f"{owner}: kernels='compiled' requested but no JIT provider is "
-            "available (numba is not installed and no C toolchain works); "
-            "falling back to kernels='fast'",
+            f"{owner}: kernels='compiled' requested but the compiled kernel "
+            f"library is unavailable ({reason}); falling back to "
+            "kernels='fast'",
         )
         return "fast"
     if slots is not None and slot_planes(slots) is None:
@@ -257,469 +190,22 @@ def resolve_kernels(kernels: str, *, slots=None, owner: str = "repro"):
     return "compiled"
 
 
-# -- the loop bodies -------------------------------------------------------
-#
-# One source, three providers: ``decorate`` is numba's njit for the JIT
-# path and the identity for the interpreted path (the cc provider emits
-# the same algorithm as C).  Everything below is the *scalar* transcription
-# of the wave/round algorithm of repro.core.bulk — same snapshot-read /
-# update-write / claim-arbitrate phase order, same counter charges — so
-# the two executors stay bit-identical by construction.
-
-
-def _make_loops(layout: str, decorate) -> dict:
-    if layout == "compact":
-        # the compact key plane stores σ(key-half), so the loops match
-        # and claim entirely in the permuted domain: the wrappers pass
-        # σ-encoded probe keys/pairs, and the sentinel words here are
-        # the σ-images of EMPTY/TOMBSTONE (repro.core.store).  The hash
-        # walk (h1/step) still comes from the original keys.
-        from ..hashing.mixers import fmix32
-
-        perm = np.uint64(fmix32(np.asarray([0xFFFFFFFF], np.uint32))[0])
-        EMPTY = (perm << _S32) | np.uint64(0xFFFFFFFF)
-        TOMB = (perm << _S32) | np.uint64(0xFFFFFFFE)
-    else:
-        EMPTY = _EMPTY_W
-        TOMB = _TOMB_W
-    S32 = _S32
-    M32 = _M32
-    INSERTED = _ST_INSERTED
-    UPDATED = _ST_UPDATED
-    FAILED = _ST_FAILED
-    PENDING = _ST_PENDING
-
-    if layout == "aos":
-
-        def load(packed, kp, vp, idx):
-            return packed[idx]
-
-        def store(packed, kp, vp, idx, word):
-            packed[idx] = word
-
-    else:
-
-        def load(packed, kp, vp, idx):
-            return (np.uint64(kp[idx]) << S32) | np.uint64(vp[idx])
-
-        def store(packed, kp, vp, idx, word):
-            kp[idx] = np.uint32((word >> S32) & M32)
-            vp[idx] = np.uint32(word & M32)
-
-    load = decorate(load)
-    store = decorate(store)
-
-    def insert_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, wave, spw,
-        h1, step, keys, pairs, status, probes, counters,
-    ):
-        n = keys.shape[0]
-        ring_cap = n if n < wave else wave
-        if ring_cap < 1:
-            ring_cap = 1
-        ring = np.empty(ring_cap, np.int64)
-        spare = np.empty(ring_cap, np.int64)
-        win_idx = np.zeros(n, np.int64)
-        first_vac = np.full(n, -1, np.int64)
-        m_match = np.empty(ring_cap, np.uint8)
-        m_empty = np.empty(ring_cap, np.uint8)
-        m_target = np.empty(ring_cap, np.int64)
-        m_vac = np.empty(ring_cap, np.int64)
-        utarg = np.empty(ring_cap, np.int64)
-        claims = np.empty(ring_cap, np.int64)
-        load_s = 0
-        store_s = 0
-        att = 0
-        succ = 0
-        warp = 0
-        count = 0
-        cursor = 0
-        while count > 0 or cursor < n:
-            if cursor < n and count < wave:
-                take = wave - count
-                if take > n - cursor:
-                    take = n - cursor
-                for t in range(take):
-                    ring[count + t] = cursor + t
-                count += take
-                cursor += take
-            m = count
-            load_s += m * spw
-            warp += 2 * m
-            # phase 1 — snapshot reads: every pending item scans its
-            # current window before any write of this round lands
-            for j in range(m):
-                i = ring[j]
-                probes[i] += 1
-                flat = win_idx[i]
-                p = flat // inner
-                q = flat - p * inner
-                h = (
-                    np.int64(h1[i])
-                    + (p & 0xFFFFFFFF) * np.int64(step[i])
-                    + q * g
-                ) & 0xFFFFFFFF
-                start = h % capacity
-                key_w = np.uint64(keys[i])
-                hasm = False
-                hase = False
-                mt = np.int64(-1)
-                vs = np.int64(-1)
-                for lane in range(g):
-                    s = (start + lane) % capacity
-                    w = load(packed, kp, vp, s)
-                    if w == EMPTY:
-                        hase = True
-                        if vs < 0:
-                            vs = s
-                    elif w == TOMB:
-                        if vs < 0:
-                            vs = s
-                    elif (not hasm) and (w >> S32) == key_w:
-                        hasm = True
-                        mt = s
-                m_match[j] = 1 if hasm else 0
-                m_empty[j] = 1 if hase else 0
-                m_target[j] = mt
-                m_vac[j] = vs
-            # phase 2 — update path: submission order, last writer wins;
-            # one store sector per distinct slot written
-            nupd = 0
-            for j in range(m):
-                if m_match[j] == 1:
-                    i = ring[j]
-                    store(packed, kp, vp, m_target[j], pairs[i])
-                    utarg[nupd] = m_target[j]
-                    nupd += 1
-                    status[i] = UPDATED
-            if nupd > 0:
-                att += nupd
-                succ += nupd
-                su = np.sort(utarg[:nupd])
-                uniq = 1
-                for t in range(1, nupd):
-                    if su[t] != su[t - 1]:
-                        uniq += 1
-                store_s += uniq
-            # phase 2b — remember the walk's first vacant slot
-            for j in range(m):
-                if m_match[j] == 0 and m_vac[j] >= 0:
-                    i = ring[j]
-                    if first_vac[i] < 0:
-                        first_vac[i] = m_vac[j]
-            # phase 3 — claims: EMPTY reached or budget exhausted; the
-            # winner per distinct slot is the lowest submission index and
-            # vacancy is re-checked against the post-update table
-            nclaims = 0
-            for j in range(m):
-                if m_match[j] == 1:
-                    continue
-                i = ring[j]
-                if m_empty[j] == 1 or win_idx[i] + 1 >= max_windows:
-                    tv = first_vac[i]
-                    if tv < 0:
-                        status[i] = FAILED
-                    else:
-                        claims[nclaims] = tv * (n + 1) + i
-                        nclaims += 1
-                else:
-                    win_idx[i] += 1
-            if nclaims > 0:
-                att += nclaims
-                cs = np.sort(claims[:nclaims])
-                j2 = 0
-                while j2 < nclaims:
-                    slot = cs[j2] // (n + 1)
-                    w = load(packed, kp, vp, slot)
-                    if w == EMPTY or w == TOMB:
-                        item = cs[j2] - slot * (n + 1)
-                        store(packed, kp, vp, slot, pairs[item])
-                        status[item] = INSERTED
-                        succ += 1
-                        store_s += 1
-                        j2 += 1
-                    # losers (CAS failed or outvoted) restart their walk
-                    while j2 < nclaims and cs[j2] // (n + 1) == slot:
-                        item = cs[j2] - slot * (n + 1)
-                        first_vac[item] = -1
-                        win_idx[item] = 0
-                        load_s += spw
-                        j2 += 1
-            # compaction: survivors (still pending) stay in the ring
-            newc = 0
-            for j in range(m):
-                i = ring[j]
-                if status[i] == PENDING:
-                    spare[newc] = i
-                    newc += 1
-            tmp = ring
-            ring = spare
-            spare = tmp
-            count = newc
-        counters[0] += load_s
-        counters[1] += store_s
-        counters[2] += att
-        counters[3] += succ
-        counters[4] += warp
-
-    def query_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, spw,
-        h1, step, keys, values, found, probes, counters,
-    ):
-        n = keys.shape[0]
-        cap = n if n > 0 else 1
-        ring = np.empty(cap, np.int64)
-        spare = np.empty(cap, np.int64)
-        for i in range(n):
-            ring[i] = i
-        win_idx = np.zeros(n, np.int64)
-        load_s = 0
-        warp = 0
-        count = n
-        while count > 0:
-            m = count
-            load_s += m * spw
-            warp += 2 * m
-            newc = 0
-            for j in range(m):
-                i = ring[j]
-                probes[i] += 1
-                flat = win_idx[i]
-                p = flat // inner
-                q = flat - p * inner
-                h = (
-                    np.int64(h1[i])
-                    + (p & 0xFFFFFFFF) * np.int64(step[i])
-                    + q * g
-                ) & 0xFFFFFFFF
-                start = h % capacity
-                key_w = np.uint64(keys[i])
-                hasm = False
-                hase = False
-                val = np.uint32(0)
-                for lane in range(g):
-                    s = (start + lane) % capacity
-                    w = load(packed, kp, vp, s)
-                    if w == EMPTY:
-                        hase = True
-                    elif (not hasm) and (w >> S32) == key_w:
-                        hasm = True
-                        val = np.uint32(w & M32)
-                if hasm:
-                    values[i] = val
-                    found[i] = True
-                elif not hase:
-                    win_idx[i] += 1
-                    if win_idx[i] < max_windows:
-                        spare[newc] = i
-                        newc += 1
-            tmp = ring
-            ring = spare
-            spare = tmp
-            count = newc
-        counters[0] += load_s
-        counters[4] += warp
-
-    def erase_loop(
-        packed, kp, vp, capacity, g, inner, max_windows, spw,
-        h1, step, keys, erased, probes, counters,
-    ):
-        n = keys.shape[0]
-        cap = n if n > 0 else 1
-        ring = np.empty(cap, np.int64)
-        spare = np.empty(cap, np.int64)
-        for i in range(n):
-            ring[i] = i
-        win_idx = np.zeros(n, np.int64)
-        m_empty = np.empty(cap, np.uint8)
-        targ = np.empty(cap * g, np.int64)
-        load_s = 0
-        store_s = 0
-        att = 0
-        succ = 0
-        warp = 0
-        count = n
-        while count > 0:
-            m = count
-            load_s += m * spw
-            warp += 2 * m
-            # snapshot reads first: duplicate keys sharing a window must
-            # all observe the pre-tombstone state of this round
-            ntarg = 0
-            nhit = 0
-            for j in range(m):
-                i = ring[j]
-                probes[i] += 1
-                flat = win_idx[i]
-                p = flat // inner
-                q = flat - p * inner
-                h = (
-                    np.int64(h1[i])
-                    + (p & 0xFFFFFFFF) * np.int64(step[i])
-                    + q * g
-                ) & 0xFFFFFFFF
-                start = h % capacity
-                key_w = np.uint64(keys[i])
-                hit = False
-                hase = False
-                for lane in range(g):
-                    s = (start + lane) % capacity
-                    w = load(packed, kp, vp, s)
-                    if w == EMPTY:
-                        hase = True
-                    elif (w >> S32) == key_w:
-                        # tombstone every matching lane (shadowed copies)
-                        hit = True
-                        targ[ntarg] = s
-                        ntarg += 1
-                if hit:
-                    nhit += 1
-                    erased[i] = True
-                m_empty[j] = 1 if hase else 0
-            if ntarg > 0:
-                st = np.sort(targ[:ntarg])
-                uniq = 0
-                for t in range(ntarg):
-                    if t == 0 or st[t] != st[t - 1]:
-                        store(packed, kp, vp, st[t], TOMB)
-                        uniq += 1
-                att += nhit
-                succ += nhit
-                store_s += uniq
-            # only an EMPTY window (or budget exhaustion) ends the walk
-            newc = 0
-            for j in range(m):
-                i = ring[j]
-                if m_empty[j] == 1:
-                    continue
-                win_idx[i] += 1
-                if win_idx[i] < max_windows:
-                    spare[newc] = i
-                    newc += 1
-            tmp = ring
-            ring = spare
-            spare = tmp
-            count = newc
-        counters[0] += load_s
-        counters[1] += store_s
-        counters[2] += att
-        counters[3] += succ
-        counters[4] += warp
-
-    return {
-        "insert": decorate(insert_loop),
-        "query": decorate(query_loop),
-        "erase": decorate(erase_loop),
-    }
-
-
-def _identity(fn):
-    return fn
-
-
-def _njit_decorator():
-    return _njit(cache=False, nogil=True)
-
-
-def _warm_call(fns: dict, layout: str) -> None:
-    """Force-compile all three ops with the production argument types."""
-    if layout == "aos":
-        packed = np.full(4, _EMPTY_W, np.uint64)
-        kp, vp = _NO_U32, _NO_U32
-    else:
-        packed = _NO_U64
-        kp = np.full(4, 0xFFFFFFFF, np.uint32)
-        vp = np.full(4, 0xFFFFFFFF, np.uint32)
-    h = np.empty(0, np.uint32)
-    k = np.empty(0, np.uint32)
-    i64 = np.empty(0, np.int64)
-    u8 = np.empty(0, np.uint8)
-    counters = np.zeros(5, np.int64)
-    fns["insert"](
-        packed, kp, vp, 4, 1, 1, 1, 2048, 1,
-        h, h, k, np.empty(0, np.uint64), u8, i64, counters,
-    )
-    fns["query"](
-        packed, kp, vp, 4, 1, 1, 1, 1,
-        h, h, k, np.empty(0, np.uint32), np.empty(0, np.bool_), i64, counters,
-    )
-    fns["erase"](
-        packed, kp, vp, 4, 1, 1, 1, 1,
-        h, h, k, np.empty(0, np.bool_), i64, counters,
-    )
-
-
-def _loops_for(probing: str, layout: str) -> dict:
-    """The compile-once/launch-many dispatcher cache.
-
-    Keyed per ``(provider, probing, layout)`` policy pair: each probing
-    scheme gets its own compiled instance (separate type caches and
-    branch history), each layout its own slot-access path.  A cache miss
-    compiles under a ``jit_compile`` span so warm-up cost is always
-    attributable and never pollutes measured kernel rows.
-    """
-    provider = active_provider()
-    if provider is None:
+def _require_library():
+    lib = _library()
+    if lib is None:
         raise ConfigurationError(
-            "kernels='compiled' has no available provider; call "
+            "kernels='compiled' has no kernel library; call "
             "resolve_kernels() first to fall back to 'fast'"
         )
-    key = (provider, probing, layout)
-    fns = _LOOPS_CACHE.get(key)
-    if fns is None:
-        with obs.span(
-            "jit_compile",
-            "kernel",
-            kernels="compiled",
-            provider=provider,
-            probing=probing,
-            layout=layout,
-        ):
-            if provider == "cc":
-                from . import _jit_cc
-
-                fns = _jit_cc.build_loops(layout)
-            elif provider == "numba":
-                fns = _make_loops(layout, _njit_decorator())
-                _warm_call(fns, layout)
-            else:
-                fns = _make_loops(layout, _identity)
-        _LOOPS_CACHE[key] = fns
-    return fns
+    return lib
 
 
-def warm(probing: str = "window", layout: str = "aos") -> bool:
-    """Pre-compile the loops for one policy pair (once per process).
-
-    Returns True when the compiled path is live, False when it would
-    fall back — callers may warm at construction so the first measured
-    launch hits a hot cache.  Workers resolve independently: the cache
-    is process-local, so each worker process warms itself exactly once.
-    """
-    if active_provider() is None:
-        return False
-    _loops_for(probing, layout)
-    return True
+def _check(status: int) -> None:
+    if status != 0:
+        raise MemoryError("compiled kernel could not allocate scratch memory")
 
 
-# -- compiled counting-scatter permutation --------------------------------
-
-
-def _make_scatter(decorate):
-    def scatter_loop(b, n, num_bins, src, counts, offsets, cursor):
-        for i in range(n):
-            counts[b[i]] += 1
-        acc = 0
-        for p in range(num_bins):
-            offsets[p] = acc
-            cursor[p] = acc
-            acc += counts[p]
-        for i in range(n):
-            p = b[i]
-            src[cursor[p]] = i
-            cursor[p] += 1
-
-    return decorate(scatter_loop)
+# -- compiled host primitives ---------------------------------------------
 
 
 def scatter_permutation(bins: np.ndarray, num_bins: int):
@@ -728,66 +214,20 @@ def scatter_permutation(bins: np.ndarray, num_bins: int):
     Histogram → exclusive scan → stable scatter in one pass — the exact
     permutation ``np.argsort(bins, kind="stable")`` produces, plus the
     per-bin counts and exclusive offsets, without a sort.  Returns
-    ``None`` when no JIT provider is available (or the provider fails),
-    so :func:`repro.primitives.scatter.counting_scatter` can keep its
+    ``None`` when the kernel library is unavailable, so
+    :func:`repro.primitives.scatter.counting_scatter` can keep its
     vectorized path as the fallback.
     """
-    provider = active_provider()
-    if provider is None:
+    lib = _library()
+    if lib is None:
         return None
     b = np.ascontiguousarray(bins, dtype=np.int64)
     n = int(b.shape[0])
     src = np.empty(n, dtype=np.int64)
     counts = np.zeros(num_bins, dtype=np.int64)
     offsets = np.zeros(num_bins, dtype=np.int64)
-    try:
-        if provider == "cc":
-            from . import _jit_cc
-
-            _jit_cc.scatter_permutation_compiled(
-                b, n, num_bins, src, counts, offsets
-            )
-        else:
-            fn = _SCATTER_CACHE.get(provider)
-            if fn is None:
-                with obs.span(
-                    "jit_compile",
-                    "kernel",
-                    kernels="compiled",
-                    provider=provider,
-                    probing="scatter",
-                    layout="-",
-                ):
-                    decorate = (
-                        _njit_decorator() if provider == "numba" else _identity
-                    )
-                    fn = _make_scatter(decorate)
-                    if provider == "numba":
-                        e = np.empty(0, np.int64)
-                        fn(
-                            e, 0, 1, e,
-                            np.zeros(1, np.int64),
-                            np.zeros(1, np.int64),
-                            np.zeros(1, np.int64),
-                        )
-                _SCATTER_CACHE[provider] = fn
-            cursor = np.zeros(num_bins, dtype=np.int64)
-            fn(b, n, num_bins, src, counts, offsets, cursor)
-    except Exception:  # pragma: no cover - provider build/launch failure
-        return None
+    _check(lib.repro_counting_scatter(b, n, num_bins, src, counts, offsets))
     return src, counts, offsets
-
-
-def _make_gather(decorate):
-    def gather_loop(counts, bases, num_parts, out):
-        pos = 0
-        for p in range(num_parts):
-            base = bases[p]
-            for c in range(counts[p]):
-                out[pos] = base + c
-                pos += 1
-
-    return decorate(gather_loop)
 
 
 def reverse_gather_fill(
@@ -800,44 +240,16 @@ def reverse_gather_fill(
     ``counts.sum()``) — the flat gather indices one source GPU's answers
     return through in
     :func:`repro.multigpu.alltoall.transpose_exchange_fast`.  Returns
-    False when no JIT provider is available (or the provider fails), so
-    the caller keeps its vectorized per-partition fill as the fallback.
-    Both legs are property-tested identical
-    (``tests/primitives/test_scatter.py``).
+    False when the kernel library is unavailable, so the caller keeps
+    its vectorized per-partition fill as the fallback.  Both legs are
+    property-tested identical (``tests/primitives/test_scatter.py``).
     """
-    provider = active_provider()
-    if provider is None:
+    lib = _library()
+    if lib is None:
         return False
     c = np.ascontiguousarray(counts, dtype=np.int64)
     b = np.ascontiguousarray(bases, dtype=np.int64)
-    num_parts = int(c.shape[0])
-    try:
-        if provider == "cc":
-            from . import _jit_cc
-
-            _jit_cc.reverse_gather_compiled(c, b, num_parts, out)
-        else:
-            fn = _GATHER_CACHE.get(provider)
-            if fn is None:
-                with obs.span(
-                    "jit_compile",
-                    "kernel",
-                    kernels="compiled",
-                    provider=provider,
-                    probing="gather",
-                    layout="-",
-                ):
-                    decorate = (
-                        _njit_decorator() if provider == "numba" else _identity
-                    )
-                    fn = _make_gather(decorate)
-                    if provider == "numba":
-                        e = np.empty(0, np.int64)
-                        fn(e, e, 0, e)
-                _GATHER_CACHE[provider] = fn
-            fn(c, b, num_parts, out)
-    except Exception:  # pragma: no cover - provider build/launch failure
-        return False
+    _check(lib.repro_reverse_gather(c, b, int(c.shape[0]), out))
     return True
 
 
@@ -864,6 +276,37 @@ def _probe_keys(layout: str, k: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_sigma(k))
 
 
+def _launch_args(slots, seq: WindowSequence, keys: np.ndarray):
+    """The leading C arguments every probe loop takes (layout flag,
+    planes, capacity, probing parameters), the hash walk ``(h1, step)``,
+    and the probe keys in the planes' domain (σ-encoded for compact)."""
+    k = np.ascontiguousarray(keys)
+    layout, packed, kp, vp = _planes_or_raise(slots)
+    h1, step = seq.hash_cache(k)
+    head = (
+        _LAYOUT_FLAG[layout], packed, kp, vp, slots.shape[0],
+        seq.group_size, seq.inner_count, seq.max_windows,
+    )
+    return head, h1, step, _probe_keys(layout, k)
+
+
+def _report(op, probes, counters, failed, seq, counter) -> KernelReport:
+    report = KernelReport(
+        op=op,
+        num_ops=probes.shape[0],
+        probe_windows=probes,
+        load_sectors=int(counters[0]),
+        store_sectors=int(counters[1]),
+        cas_attempts=int(counters[2]),
+        cas_successes=int(counters[3]),
+        warp_collectives=int(counters[4]),
+        failed=failed,
+        group_size=seq.group_size,
+    )
+    _merge_counter(counter, report)
+    return report
+
+
 def bulk_insert_compiled(
     slots,
     seq: WindowSequence,
@@ -877,42 +320,25 @@ def bulk_insert_compiled(
     k = check_keys(keys)
     v = check_values(values)
     check_same_length("keys", k, "values", v)
-    layout, packed, kp, vp = _planes_or_raise(slots)
+    lib = _require_library()
+    head, h1, step, ek = _launch_args(slots, seq, k)
     n = k.shape[0]
     capacity = slots.shape[0]
-    g = seq.group_size
     wave = (
         default_wave_size(capacity)
         if wave_size is None
         else max(int(wave_size), 1)
     )
-    k = np.ascontiguousarray(k)
-    ek = _probe_keys(layout, k)
-    pairs = pack_pairs(ek, v)
-    h1, step = seq.hash_cache(k)
+    spw = _sectors_per_window(seq.group_size, _record_bytes(slots))
     status = np.zeros(n, dtype=np.uint8)
     probes = np.zeros(n, dtype=np.int64)
     counters = np.zeros(5, dtype=np.int64)
-    fns = _loops_for(seq.name, layout)
-    fns["insert"](
-        packed, kp, vp, capacity, g, seq.inner_count, seq.max_windows,
-        wave, _sectors_per_window(g, _record_bytes(slots)), h1, step,
-        ek, pairs, status, probes, counters,
-    )
-    report = KernelReport(
-        op="insert",
-        num_ops=n,
-        probe_windows=probes,
-        load_sectors=int(counters[0]),
-        store_sectors=int(counters[1]),
-        cas_attempts=int(counters[2]),
-        cas_successes=int(counters[3]),
-        warp_collectives=int(counters[4]),
-        failed=int(np.sum(status == STATUS["failed"])),
-        group_size=g,
-    )
-    _merge_counter(counter, report)
-    return report, status
+    _check(lib.repro_insert(
+        *head, wave, spw, n, h1, step, ek, pack_pairs(ek, v),
+        status, probes, counters,
+    ))
+    failed = int(np.sum(status == STATUS["failed"]))
+    return _report("insert", probes, counters, failed, seq, counter), status
 
 
 def bulk_query_compiled(
@@ -924,36 +350,20 @@ def bulk_query_compiled(
 ) -> tuple[KernelReport, np.ndarray, np.ndarray]:
     """Compiled :func:`repro.core.bulk.bulk_query` — identical contract."""
     k = check_keys(keys)
-    layout, packed, kp, vp = _planes_or_raise(slots)
+    lib = _require_library()
+    head, h1, step, ek = _launch_args(slots, seq, k)
     n = k.shape[0]
-    capacity = slots.shape[0]
-    g = seq.group_size
-    k = np.ascontiguousarray(k)
-    ek = _probe_keys(layout, k)
-    h1, step = seq.hash_cache(k)
+    spw = _sectors_per_window(seq.group_size, _record_bytes(slots))
     out_values = np.full(n, default, dtype=np.uint32)
     found = np.zeros(n, dtype=np.bool_)
     probes = np.zeros(n, dtype=np.int64)
     counters = np.zeros(5, dtype=np.int64)
-    fns = _loops_for(seq.name, layout)
-    fns["query"](
-        packed, kp, vp, capacity, g, seq.inner_count, seq.max_windows,
-        _sectors_per_window(g, _record_bytes(slots)), h1, step, ek,
-        out_values, found, probes, counters,
-    )
-    report = KernelReport(
-        op="query",
-        num_ops=n,
-        probe_windows=probes,
-        load_sectors=int(counters[0]),
-        store_sectors=int(counters[1]),
-        cas_attempts=int(counters[2]),
-        cas_successes=int(counters[3]),
-        warp_collectives=int(counters[4]),
-        failed=int(np.sum(~found)),
-        group_size=g,
-    )
-    _merge_counter(counter, report)
+    _check(lib.repro_query(
+        *head, spw, n, h1, step, ek, out_values, found.view(np.uint8),
+        probes, counters,
+    ))
+    failed = int(np.sum(~found))
+    report = _report("query", probes, counters, failed, seq, counter)
     return report, out_values, found
 
 
@@ -965,33 +375,15 @@ def bulk_erase_compiled(
 ) -> tuple[KernelReport, np.ndarray]:
     """Compiled :func:`repro.core.bulk.bulk_erase` — identical contract."""
     k = check_keys(keys)
-    layout, packed, kp, vp = _planes_or_raise(slots)
+    lib = _require_library()
+    head, h1, step, ek = _launch_args(slots, seq, k)
     n = k.shape[0]
-    capacity = slots.shape[0]
-    g = seq.group_size
-    k = np.ascontiguousarray(k)
-    ek = _probe_keys(layout, k)
-    h1, step = seq.hash_cache(k)
+    spw = _sectors_per_window(seq.group_size, _record_bytes(slots))
     erased = np.zeros(n, dtype=np.bool_)
     probes = np.zeros(n, dtype=np.int64)
     counters = np.zeros(5, dtype=np.int64)
-    fns = _loops_for(seq.name, layout)
-    fns["erase"](
-        packed, kp, vp, capacity, g, seq.inner_count, seq.max_windows,
-        _sectors_per_window(g, _record_bytes(slots)), h1, step, ek,
-        erased, probes, counters,
-    )
-    report = KernelReport(
-        op="erase",
-        num_ops=n,
-        probe_windows=probes,
-        load_sectors=int(counters[0]),
-        store_sectors=int(counters[1]),
-        cas_attempts=int(counters[2]),
-        cas_successes=int(counters[3]),
-        warp_collectives=int(counters[4]),
-        failed=int(np.sum(~erased)),
-        group_size=g,
-    )
-    _merge_counter(counter, report)
-    return report, erased
+    _check(lib.repro_erase(
+        *head, spw, n, h1, step, ek, erased.view(np.uint8), probes, counters,
+    ))
+    failed = int(np.sum(~erased))
+    return _report("erase", probes, counters, failed, seq, counter), erased

@@ -5,9 +5,8 @@ contribution: an open-addressing hash map probed by coalesced groups of
 ``|g|`` threads with the hybrid linear-window/chaotic-hop scheme of
 Fig. 3.  Bulk operations run the vectorized kernels by default; the
 ``kernels="ref"`` path runs the faithful generator kernels under a
-chosen interleaving scheduler (slow; for verification).  The old
-``executor=`` spelling still works with a deprecation warning (see
-:mod:`repro.options` for the unified option set).
+chosen interleaving scheduler (slow; for verification); see
+:mod:`repro.options` for the unified option set.
 
 Example
 -------
@@ -31,7 +30,7 @@ from ..constants import EMPTY_SLOT
 from ..errors import ConfigurationError, InsertionError
 from ..memory.layout import unpack_pairs
 from ..obs import runtime as obs
-from ..options import UNSET, reject_unknown, resolve_renamed
+from ..options import UNSET
 from ..simt.counters import TransactionCounter
 from ..simt.device import Device
 from ..simt.kernel import launch
@@ -46,7 +45,6 @@ from .kernels_jit import (
     bulk_insert_compiled,
     bulk_query_compiled,
     resolve_kernels,
-    warm,
 )
 from .kernels_ref import erase_task, insert_task, query_task
 from .probing import make_window_sequence
@@ -100,7 +98,7 @@ class WarpDriveHashTable:
         ``"compiled"``.  Per-call ``kernels=`` still overrides;
         :meth:`grow` replays live pairs through the compiled bulk insert
         when the default resolves to ``"compiled"`` (auto-fallback to
-        ``"fast"`` without a JIT provider, as everywhere else).
+        ``"fast"`` without the kernel library, as everywhere else).
     """
 
     def __init__(
@@ -116,7 +114,7 @@ class WarpDriveHashTable:
         probing: str = UNSET,
         layout: str = UNSET,
         growth: GrowthPolicy | None = UNSET,
-        kernels: str = UNSET,
+        kernels: str = "fast",
     ):
         if engine is not None:
             shared = shared or engine == "process" or bool(
@@ -144,8 +142,6 @@ class WarpDriveHashTable:
                 )
             if overrides:
                 config = _dc_replace(config, **overrides)
-        if kernels is UNSET:
-            kernels = "fast"
         if kernels not in ("fast", "ref", "compiled"):
             raise ConfigurationError(
                 f"kernels must be 'fast', 'ref' or 'compiled', got {kernels!r}"
@@ -237,10 +233,9 @@ class WarpDriveHashTable:
         keys: np.ndarray,
         values: np.ndarray,
         *,
-        kernels: str = UNSET,
+        kernels: str | None = None,
         scheduler: Scheduler | None = None,
         wave_size: int | None = None,
-        **legacy,
     ) -> KernelReport:
         """Insert (or update) key-value pairs.
 
@@ -252,12 +247,8 @@ class WarpDriveHashTable:
         rebuild attempts run out); otherwise transparently rebuilds with a
         translated hash family, as §II prescribes.
         """
-        kernels = resolve_renamed(
-            "WarpDriveHashTable", legacy,
-            old="executor", new="kernels", value=kernels,
-            default=self.default_kernels,
-        )
-        reject_unknown("WarpDriveHashTable.insert", legacy)
+        if kernels is None:
+            kernels = self.default_kernels
         k = check_keys(keys)
         v = check_values(values)
         check_same_length("keys", k, "values", v)
@@ -390,20 +381,15 @@ class WarpDriveHashTable:
         keys: np.ndarray,
         *,
         default: int = 0,
-        kernels: str = UNSET,
+        kernels: str | None = None,
         scheduler: Scheduler | None = None,
-        **legacy,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Retrieve values; returns (values, found-mask).
 
         Keys not present yield ``default`` with ``found == False``.
         """
-        kernels = resolve_renamed(
-            "WarpDriveHashTable", legacy,
-            old="executor", new="kernels", value=kernels,
-            default=self.default_kernels,
-        )
-        reject_unknown("WarpDriveHashTable.query", legacy)
+        if kernels is None:
+            kernels = self.default_kernels
         k = check_keys(keys)
         kernels = resolve_kernels(
             kernels, slots=self.slots, owner="WarpDriveHashTable.query"
@@ -468,9 +454,8 @@ class WarpDriveHashTable:
         self,
         keys: np.ndarray,
         *,
-        kernels: str = UNSET,
+        kernels: str | None = None,
         scheduler: Scheduler | None = None,
-        **legacy,
     ) -> np.ndarray:
         """Delete keys (tombstones); returns an erased-mask.
 
@@ -479,12 +464,8 @@ class WarpDriveHashTable:
         deletions.  Nevertheless, insertions and deletions can be safely
         interleaved using global barriers."
         """
-        kernels = resolve_renamed(
-            "WarpDriveHashTable", legacy,
-            old="executor", new="kernels", value=kernels,
-            default=self.default_kernels,
-        )
-        reject_unknown("WarpDriveHashTable.erase", legacy)
+        if kernels is None:
+            kernels = self.default_kernels
         k = check_keys(keys)
         kernels = resolve_kernels(
             kernels, slots=self.slots, owner="WarpDriveHashTable.erase"
@@ -596,15 +577,14 @@ class WarpDriveHashTable:
             if live_k.shape[0]:
                 # rehash episodes inherit the table's kernel backend:
                 # compiled tables replay their live pairs through the
-                # compiled bulk insert (warmed first, so compile time
-                # stays inside a jit_compile span, not the rehash)
+                # compiled bulk insert (the library loaded while
+                # resolving, so build time stays in its jit_compile span)
                 kernels = resolve_kernels(
                     self.default_kernels,
                     slots=self.slots,
                     owner="WarpDriveHashTable.grow",
                 )
                 if kernels == "compiled":
-                    warm(self.seq.name, self.config.layout)
                     report, status = bulk_insert_compiled(
                         self.slots, self.seq, live_k, live_v, self.counter
                     )

@@ -40,8 +40,6 @@ from ..core.kernels_jit import (
     bulk_insert_compiled,
     bulk_query_compiled,
     resolve_kernels,
-    slot_planes,
-    warm,
 )
 from ..core.probing import WindowSequence
 from ..core.report import KernelReport
@@ -110,16 +108,14 @@ def run_kernel_task(slots: np.ndarray, task: ShardKernelTask) -> ShardKernelResu
     happens on the parent in deterministic shard order, identically for
     in-process and out-of-process backends.
     """
-    # resolve here, in the executing process: a worker without a JIT
-    # provider falls back on its own, and the result records the truth
+    # resolve here, in the executing process: a worker that cannot load
+    # the kernel library falls back on its own, and the result records
+    # the truth; resolving loads the library, so its build time lands in
+    # a jit_compile span before the measured one starts
     kernels = resolve_kernels(
         task.kernels, slots=slots, owner="run_kernel_task"
     )
     compiled = kernels == "compiled"
-    if compiled:
-        # warm the process-local JIT cache (no-op when hot) so compile
-        # time lands in a jit_compile span, never in the measured span
-        warm(task.seq.name, slot_planes(slots)[0])
     t0 = time.perf_counter()
     if task.op == "insert":
         op = bulk_insert_compiled if compiled else bulk_insert

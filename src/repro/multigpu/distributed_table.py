@@ -31,7 +31,7 @@ from ..exec.engine import ExecutionEngine, ShardKernelTask, create_engine
 from ..exec.metrics import ShardSpan
 from ..obs import runtime as obs
 from ..obs.protocol import reportable_dict
-from ..options import UNSET, reject_unknown, resolve_renamed, warn_positional
+from ..options import UNSET
 from ..hashing.partition import PartitionHash, hashed_partition
 from ..memory.buffer import DeviceBuffer
 from ..memory.layout import pack_pairs, unpack_pairs
@@ -109,7 +109,7 @@ class CascadeReport:
     grow_wall_seconds: float = 0.0
     #: kernel backend the shard kernels actually ran ("fast" or
     #: "compiled") — post-fallback, so rows record the truth even when
-    #: "compiled" was requested on a host without a JIT provider
+    #: "compiled" was requested on a host without the kernel library
     kernels: str = "fast"
     #: serving-layer hot-key cache accounting for the batch this cascade
     #: served: keys answered by the cache tier vs. keys that reached the
@@ -229,49 +229,11 @@ class StagedCascade:
         return sum(buf.nbytes for buf in self.buffers)
 
 
-def _resolve_topology_capacity(owner, arg0, arg1, topology_kw):
-    """Resolve the ``(capacity, topology=)`` vs ``(topology, capacity)`` forms.
-
-    The canonical constructor takes the capacity positionally and the
-    topology as the unified ``topology=`` option; the pre-hierarchy
-    positional form ``(topology, capacity)`` is shimmed with a one-time
-    deprecation warning.  Mixing the two for the same slot raises
-    :class:`ConfigurationError` (mirroring ``engine=``/``executor=``).
-    """
-    topo_spec = UNSET
-    capacity = UNSET
-    if arg0 is not None:
-        if isinstance(arg0, (int, np.integer)):
-            capacity = int(arg0)
-            if arg1 is not None:
-                raise ConfigurationError(
-                    f"{owner}: unexpected second positional argument "
-                    f"{arg1!r}; the capacity was already given"
-                )
-        else:
-            warn_positional(owner, "topology", "topology")
-            topo_spec = arg0
-            if arg1 is not None:
-                capacity = int(arg1)
-    if topology_kw is not UNSET:
-        if topo_spec is not UNSET:
-            raise ConfigurationError(
-                f"{owner}: got both a positional topology and 'topology='"
-            )
-        topo_spec = topology_kw
-    if capacity is UNSET:
-        raise ConfigurationError(f"{owner}: total_capacity is required")
-    topo = build_topology(None if topo_spec is UNSET else topo_spec)
-    return topo, capacity
-
-
 class DistributedHashTable:
     """A WarpDrive hash map sharded over the GPUs of a node or cluster.
 
-    The canonical form is ``DistributedHashTable(total_capacity,
-    topology=...)`` — the old positional-topology form
-    ``DistributedHashTable(node, capacity)`` keeps working through a
-    warn-once shim (see :mod:`repro.options`).
+    Construct as ``DistributedHashTable(total_capacity, topology=...)``;
+    every option but the capacity is keyword-only.
 
     Parameters
     ----------
@@ -305,8 +267,6 @@ class DistributedHashTable:
         or a ready-made :class:`~repro.exec.ExecutionEngine`) and its
         worker count.  The process backend allocates every shard's slot
         array in shared memory so workers mutate the tables zero-copy.
-        (``executor=`` is the deprecated spelling; see
-        :mod:`repro.options`.)
     distribution:
         Host implementation of the distribution phases.  ``"fused"``
         (default) runs the single-pass multisplit and index-routed
@@ -316,43 +276,37 @@ class DistributedHashTable:
         only the host wall-clock differs (``docs/distribution.md``).
     kernels:
         Shard-kernel backend: ``"fast"`` (default, vectorized numpy) or
-        ``"compiled"`` (JIT inner loops, bit-identical; auto-falls back
-        to ``"fast"`` with a warning when no JIT provider is available
-        — see ``docs/compiled_backend.md``).  Workers re-resolve the
+        ``"compiled"`` (C inner loops, bit-identical; auto-falls back
+        to ``"fast"`` with a warning when the kernel library cannot be
+        built — see ``docs/compiled_backend.md``).  Workers re-resolve the
         backend in their own process; :attr:`CascadeReport.kernels`
         records what actually ran.
     """
 
     def __init__(
         self,
-        total_capacity=None,
-        _legacy_capacity=None,
+        total_capacity: int | None = None,
         *,
-        topology=UNSET,
+        topology=None,
         group_size: int = 4,
         p_max: int | None = None,
         partition: PartitionHash | None = None,
-        engine: str | ExecutionEngine = UNSET,
+        engine: str | ExecutionEngine = "serial",
         workers: int | None = None,
         distribution: str = "fused",
-        kernels: str = UNSET,
+        kernels: str = "fast",
         probing: str = UNSET,
         layout: str = UNSET,
         growth=UNSET,
-        **legacy,
     ):
-        topology, total_capacity = _resolve_topology_capacity(
-            "DistributedHashTable", total_capacity, _legacy_capacity, topology
-        )
-        engine = resolve_renamed(
-            "DistributedHashTable",
-            legacy,
-            old="executor",
-            new="engine",
-            value=engine,
-            default="serial",
-        )
-        reject_unknown("DistributedHashTable", legacy)
+        if not isinstance(total_capacity, (int, np.integer)):
+            raise ConfigurationError(
+                "DistributedHashTable: total_capacity must be an int, got "
+                f"{total_capacity!r} (the topology is keyword-only: "
+                "pass it as 'topology=')"
+            )
+        total_capacity = int(total_capacity)
+        topology = build_topology(topology)
         if total_capacity < topology.num_devices:
             raise ConfigurationError(
                 "total_capacity must be at least one slot per GPU"
@@ -362,8 +316,6 @@ class DistributedHashTable:
                 f"distribution must be 'fused' or 'reference', got {distribution!r}"
             )
         self.distribution = distribution
-        if kernels is UNSET:
-            kernels = "fast"
         if kernels not in ("fast", "compiled"):
             raise ConfigurationError(
                 f"kernels must be 'fast' or 'compiled', got {kernels!r}"

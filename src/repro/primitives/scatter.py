@@ -118,8 +118,8 @@ def counting_scatter(
         raise ConfigurationError("bins out of range")
 
     n = arr.shape[0]
-    # compiled single-pass histogram + stable scatter when a JIT provider
-    # is live (same permutation, counts, and offsets as the sort below —
+    # compiled single-pass histogram + stable scatter when the kernel
+    # library is loaded (same permutation, counts, and offsets as the sort below —
     # property-tested in tests/primitives/test_scatter.py)
     from ..core.kernels_jit import scatter_permutation
 

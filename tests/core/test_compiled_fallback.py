@@ -1,10 +1,10 @@
-"""The numba-less fallback: ``kernels="compiled"`` must degrade cleanly.
+"""The no-compiler fallback: ``kernels="compiled"`` must degrade cleanly.
 
-With no JIT provider (import forced off via ``REPRO_JIT_PROVIDER=none``)
-a ``"compiled"`` request warns once per owner, resolves to ``"fast"``,
-produces results identical to an explicit ``"fast"`` run, and every
-report / span records the backend **actually used** — never the one
-requested.
+Without the C kernel library (forced off via ``REPRO_JIT_PROVIDER=none``,
+or a compiler that fails to build it) a ``"compiled"`` request warns
+once per owner, resolves to ``"fast"``, produces results identical to
+an explicit ``"fast"`` run, and every report / span records the backend
+**actually used** — never the one requested.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core import _jit_cc
 from repro.core.kernels_jit import (
     active_provider,
     compiled_available,
     reset_fallback_warnings,
     resolve_kernels,
+    warm,
 )
 from repro.core.table import WarpDriveHashTable
 from repro.errors import ConfigurationError
@@ -68,8 +70,14 @@ class TestResolution:
         with pytest.raises(ConfigurationError):
             active_provider()
 
+    @pytest.mark.parametrize("pin", ["numba", "interp"])
+    def test_retired_provider_pins_raise(self, pin, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_PROVIDER", pin)
+        with pytest.raises(ConfigurationError, match="'cc' or 'none'"):
+            active_provider()
+
     @pytest.mark.skipif(
-        not compiled_available(), reason="no JIT provider on this host"
+        not compiled_available(), reason="C kernel library unavailable"
     )
     def test_instrumented_slots_fall_back(self):
         """slot stores without raw planes (e.g. sanitizer shadows) must
@@ -83,6 +91,50 @@ class TestResolution:
                 resolve_kernels("compiled", slots=Shadowed(), owner="S")
                 == "fast"
             )
+
+
+class TestBrokenToolchain:
+    def test_failing_compiler_warns_once_and_falls_back(
+        self, monkeypatch, tmp_path
+    ):
+        """A compiler on PATH that cannot build the library is no
+        compiler: warn once, run ``"fast"``, and ``warm()`` says so."""
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_JIT_PROVIDER", raising=False)
+        monkeypatch.setattr(_jit_cc, "_LIB", None)
+        monkeypatch.setattr(_jit_cc, "_ERROR", None)
+        keys = unique_keys(800, seed=5)
+        values = random_values(800, seed=6)
+        tables = {
+            k: WarpDriveHashTable(1200, group_size=4)
+            for k in ("fast", "compiled")
+        }
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports = {
+                    k: t.insert(keys, values, kernels=k)
+                    for k, t in tables.items()
+                }
+                tables["compiled"].insert(keys, values + 1, kernels="compiled")
+                tables["fast"].insert(keys, values + 1, kernels="fast")
+                assert warm() is False
+            runtime = [w for w in caught if w.category is RuntimeWarning]
+            assert len(runtime) == 1
+            assert "falling back" in str(runtime[0].message)
+            assert (tables["compiled"].slots == tables["fast"].slots).all()
+            assert (
+                reports["compiled"].probe_windows
+                == reports["fast"].probe_windows
+            ).all()
+            assert (
+                tables["compiled"].counter.snapshot()
+                == tables["fast"].counter.snapshot()
+            )
+        finally:
+            for t in tables.values():
+                t.free()
 
 
 class TestFallbackResults:
@@ -153,7 +205,7 @@ class TestReportedBackend:
         assert report.to_dict()["kernels"] == "fast"
 
     @pytest.mark.skipif(
-        not compiled_available(), reason="no JIT provider on this host"
+        not compiled_available(), reason="C kernel library unavailable"
     )
     def test_cascade_report_records_compiled_when_live(self):
         report, phase = self._cascade()
@@ -164,4 +216,4 @@ class TestReportedBackend:
 
     def test_constructor_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError):
-            DistributedHashTable(p100_nvlink_node(2), 256, kernels="ref")
+            DistributedHashTable(256, topology=p100_nvlink_node(2), kernels="ref")

@@ -1,8 +1,7 @@
 """Bit-identity of the compiled bulk kernels against the fast ones.
 
-``kernels="compiled"`` is a policy with three providers (numba / cc /
-interp); whichever one runs, the contract is the same: final slot
-contents, statuses, probe-window arrays, every
+``kernels="compiled"`` runs the C kernel library; the contract is that
+final slot contents, statuses, probe-window arrays, every
 :class:`~repro.core.report.KernelReport` field, and the merged
 transaction-counter snapshots must be **bit-identical** to the
 vectorized ``"fast"`` kernels — across group sizes, layouts, probing
@@ -18,19 +17,15 @@ from hypothesis import strategies as st
 
 from profiles import examples
 
+from repro.core import _jit_cc
 from repro.core.growth import GrowthPolicy
-from repro.core.kernels_jit import (
-    available_providers,
-    compiled_available,
-    slot_planes,
-    warm,
-)
+from repro.core.kernels_jit import compiled_available, slot_planes, warm
 from repro.core.table import WarpDriveHashTable
 from repro.obs import runtime as obs
 from repro.workloads import random_values, unique_keys
 
 needs_provider = pytest.mark.skipif(
-    not compiled_available(), reason="no JIT provider on this host"
+    not compiled_available(), reason="C kernel library unavailable"
 )
 
 REPORT_FIELDS = (
@@ -158,48 +153,38 @@ class TestBitIdentity:
         )
 
 
+@needs_provider
 class TestProviders:
-    """Every provider on this host implements the same loops."""
+    """Pinning ``REPRO_JIT_PROVIDER=cc`` runs the same loops."""
 
-    @pytest.mark.parametrize("provider", available_providers())
+    @pytest.mark.parametrize("provider", ["cc"])
     def test_provider_matches_fast(self, provider, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_PROVIDER", provider)
-        # interp runs the undecorated loop bodies in CPython — keep the
-        # workload small so the tier-1 budget holds
-        n = 300 if provider == "interp" else 1200
-        assert lifecycle("compiled", n=n) == lifecycle("fast", n=n)
+        assert lifecycle("compiled") == lifecycle("fast")
 
 
 @needs_provider
 class TestWarmup:
     def test_warm_compiles_once_under_jit_span(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.kernels_jit._LOOPS_CACHE", {}, raising=True
-        )
+        # forget this process's loaded library so warm() loads it again
+        monkeypatch.setattr(_jit_cc, "_LIB", None)
         with obs.session() as (recorder, _):
-            assert warm("window", "aos") is True
-            compile_spans = [
-                s for s in recorder.spans if s.name == "jit_compile"
-            ]
-            assert len(compile_spans) == 1
-            assert compile_spans[0].attrs["kernels"] == "compiled"
-            # the span names the resolved policy triple so traces say
-            # exactly which compiled instance was built
-            assert compile_spans[0].attrs["provider"] in available_providers()
-            assert compile_spans[0].attrs["probing"] == "window"
-            assert compile_spans[0].attrs["layout"] == "aos"
-            # second warm hits the cache — no second compilation span
-            assert warm("window", "aos") is True
-            assert (
-                len([s for s in recorder.spans if s.name == "jit_compile"])
-                == 1
-            )
+            assert warm() is True
+            # every op, layout and probing policy shares the one library:
+            # launching them all must not load it again
+            for layout in ("aos", "compact"):
+                for probing in ("window", "linear"):
+                    lifecycle(
+                        "compiled", n=100, layout=layout, probing=probing
+                    )
+            assert warm() is True
+        compile_spans = [s for s in recorder.spans if s.name == "jit_compile"]
+        assert len(compile_spans) == 1
+        assert compile_spans[0].attrs["kernels"] == "compiled"
+        assert compile_spans[0].attrs["provider"] == "cc"
 
-    def test_warm_launches_hit_hot_cache(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.kernels_jit._LOOPS_CACHE", {}, raising=True
-        )
-        warm("window", "aos")
+    def test_warm_launches_hit_hot_cache(self):
+        warm()
         keys = unique_keys(200, seed=7)
         table = WarpDriveHashTable(512, group_size=4)
         try:
@@ -210,15 +195,3 @@ class TestWarmup:
                 ]
         finally:
             table.free()
-
-    def test_cache_is_keyed_per_policy_pair(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.core.kernels_jit._LOOPS_CACHE", {}, raising=True
-        )
-        from repro.core import kernels_jit
-
-        warm("window", "aos")
-        warm("window", "soa")
-        warm("window", "compact")
-        warm("double", "aos")
-        assert len(kernels_jit._LOOPS_CACHE) >= 3

@@ -106,7 +106,7 @@ class TestBasicOperations:
         t = WarpDriveHashTable(32)
         with pytest.raises(ConfigurationError):
             t.insert(np.array([1], dtype=np.uint32), np.array([1], dtype=np.uint32),
-                     executor="magic")
+                     kernels="magic")
 
 
 class TestRebuild:

@@ -1,8 +1,8 @@
 """Property tests: counting_scatter == num_bins × compact_fast.
 
 ``counting_scatter`` resolves a compiled single-pass histogram+scatter
-(:func:`repro.core.kernels_jit.scatter_permutation`) whenever a JIT
-provider is live, falling back to the stable-argsort path otherwise;
+(:func:`repro.core.kernels_jit.scatter_permutation`) whenever the C
+kernel library is loaded, falling back to the stable-argsort path otherwise;
 ``TestCompiledPermutation`` pins the two paths to the same permutation.
 """
 
@@ -99,7 +99,7 @@ class TestCompiledPermutation:
     """The compiled permutation ≡ the stable-argsort path, bit for bit."""
 
     @pytest.mark.skipif(
-        not compiled_available(), reason="no JIT provider on this host"
+        not compiled_available(), reason="C kernel library unavailable"
     )
     @given(
         n=st.integers(min_value=0, max_value=500),
@@ -124,7 +124,7 @@ class TestCompiledPermutation:
         assert scatter_permutation(np.zeros(4, dtype=np.int64), 2) is None
 
     @pytest.mark.skipif(
-        not compiled_available(), reason="no JIT provider on this host"
+        not compiled_available(), reason="C kernel library unavailable"
     )
     @given(
         n=st.integers(min_value=0, max_value=300),
@@ -161,15 +161,6 @@ class TestCompiledPermutation:
         assert on.atomics_used == off.atomics_used
         assert on_counter.snapshot() == off_counter.snapshot()
 
-    def test_interp_provider_matches(self, monkeypatch):
-        """The undecorated loop body itself is the oracle-checked one."""
-        monkeypatch.setenv("REPRO_JIT_PROVIDER", "interp")
-        bins = np.array([2, 0, 1, 2, 0, 2], dtype=np.int64)
-        src, counts, offsets = scatter_permutation(bins, 3)
-        assert src.tolist() == [1, 4, 2, 0, 3, 5]
-        assert counts.tolist() == [2, 1, 3]
-        assert offsets.tolist() == [0, 2, 3]
-
 
 def reference_gather_fill(counts, bases):
     """The vectorized oracle: per-partition arange runs, concatenated."""
@@ -186,7 +177,7 @@ class TestCompiledReverseGather:
     """The compiled reverse-gather fill ≡ the vectorized path, bit for bit."""
 
     @pytest.mark.skipif(
-        not compiled_available(), reason="no JIT provider on this host"
+        not compiled_available(), reason="C kernel library unavailable"
     )
     @given(
         num_parts=st.integers(min_value=0, max_value=8),
@@ -209,15 +200,6 @@ class TestCompiledReverseGather:
         bases = np.array([10, 100], dtype=np.int64)
         assert not reverse_gather_fill(counts, bases, out)
         assert (out == -7).all()
-
-    def test_interp_provider_matches(self, monkeypatch):
-        """The undecorated loop body itself is the oracle-checked one."""
-        monkeypatch.setenv("REPRO_JIT_PROVIDER", "interp")
-        counts = np.array([0, 3, 1], dtype=np.int64)
-        bases = np.array([99, 4, 40], dtype=np.int64)
-        out = np.empty(4, dtype=np.int64)
-        assert reverse_gather_fill(counts, bases, out)
-        assert out.tolist() == [4, 5, 6, 40]
 
     def test_empty_partitions(self):
         out = np.empty(0, dtype=np.int64)

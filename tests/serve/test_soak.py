@@ -32,7 +32,7 @@ def _sorted_pairs(table: DistributedHashTable):
 
 
 def _replay(oplog, *, num_gpus: int, capacity: int):
-    fresh = DistributedHashTable(p100_nvlink_node(num_gpus), capacity)
+    fresh = DistributedHashTable(capacity, topology=p100_nvlink_node(num_gpus))
     try:
         for op, keys, values in oplog:
             if op == "insert":
