@@ -13,8 +13,8 @@ reaches a shard.  Clients (:mod:`repro.serve.client`) know the server's
 partition policy and pre-split batches by shard.
 
 ``repro serve`` / ``repro client`` expose the pair on the CLI;
-``repro serve --smoke`` is the CI gate; ``docs/serving.md`` documents
-the frame formats, the cache tier, and the backpressure semantics.
+``tests/serve/`` is its gate; ``docs/serving.md`` documents the frame
+formats, the cache tier, and the backpressure semantics.
 """
 
 from .cache import CacheStats, HotKeyCache

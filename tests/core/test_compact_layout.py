@@ -31,7 +31,16 @@ from repro.perfmodel.specs import P100
 from repro.simt.counters import TransactionCounter
 from repro.workloads.distributions import random_values, unique_keys
 
-KERNELS = ("fast", "ref") + (("compiled",) if compiled_available() else ())
+KERNELS = (
+    "fast",
+    "ref",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not compiled_available(), reason="C kernel library unavailable"
+        ),
+    ),
+)
 PROBINGS = ("window", "double", "linear")
 
 
@@ -79,7 +88,8 @@ def churn_state(
 
 class TestChurnBitIdentity:
     """compact == aos == soa under growth + tombstone churn, for every
-    probing policy and every kernel backend on this host."""
+    probing policy and kernel backend (``compiled`` skips without the
+    C kernel library)."""
 
     @pytest.mark.parametrize("kernels", KERNELS)
     @pytest.mark.parametrize("probing", PROBINGS)

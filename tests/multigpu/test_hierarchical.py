@@ -39,6 +39,8 @@ from repro.multigpu.topology import (
     pcie_only_node,
     topology,
 )
+from repro.obs import runtime as obs
+from repro.obs.export import to_perfetto, validate_trace
 from repro.workloads.distributions import random_values, unique_keys
 
 WALL_KEYS = (
@@ -148,6 +150,23 @@ class TestOneNodeClusterBitIdentity:
             + insert_rep["alltoall_inter_bytes"]
             == insert_rep["alltoall_bytes"]
         )
+
+    def test_two_node_cluster_traces_both_exchange_levels(self):
+        """A traced 2x2 insert+query records the intra- and inter-node
+        transpose levels, and the session exports a valid trace."""
+        keys = unique_keys(2000, seed=41)
+        table = DistributedHashTable(4096, topology="cluster:2x2")
+        try:
+            with obs.session() as (recorder, metrics):
+                table.insert(keys, random_values(2000, seed=42))
+                table.query(keys)
+        finally:
+            table.free()
+        names = [s.name for s in recorder.spans]
+        # one of each level per cascade: insert and query
+        assert names.count("transpose.intra") == 2
+        assert names.count("transpose.inter") == 2
+        assert validate_trace(to_perfetto(recorder, metrics)) == []
 
 
 class TestTwoLevelMultisplit:

@@ -20,6 +20,7 @@ from repro.errors import AllocationError, ConfigurationError
 from repro.multigpu import DistributedHashTable
 from repro.multigpu.topology import NodeTopology
 from repro.obs import runtime as obs
+from repro.obs.export import to_perfetto, validate_trace
 from repro.pipeline import (
     AsyncCascadeDriver,
     PipelineAborted,
@@ -265,21 +266,44 @@ class TestBackpressure:
         assert len(table) == 1 << 13
 
     def test_stalls_surface_in_obs(self):
+        """A one-wave budget stalls the stager; an unbounded depth-2 run
+        in the same session stages batch i+1 while batch i commits."""
         batches, _, _ = keyed_batches(1 << 12, 8)
         per_batch = (1 << 12) // 8 * 8
-        node = small_node(2, 64 << 20)
-        table = DistributedHashTable(1 << 13, topology=node)
-        with obs.session() as (recorder, metrics):
+
+        def stream(depth, budget):
+            table = DistributedHashTable(
+                1 << 13, topology=small_node(2, 64 << 20)
+            )
             driver = AsyncCascadeDriver(
-                table, depth=4, staging_budget=per_batch, pace="modelled",
+                table, depth=depth, staging_budget=budget, pace="modelled",
                 scale=50.0,
             )
             driver.insert_stream(batches)
-        stalls = [s for s in recorder.spans if s.name == "pipeline.stall"]
-        assert stalls, "backpressure must trace pipeline.stall spans"
-        assert metrics.counter("pipeline.stall.count") >= 1
-        assert metrics.counter("pipeline.stall.seconds") > 0
-        assert metrics.gauge("queue.pipeline.staging_bytes.peak_depth") <= per_batch
+
+        with obs.session() as (recorder, metrics):
+            stream(4, per_batch)
+            stalls = [s for s in recorder.spans if s.name == "pipeline.stall"]
+            assert stalls, "backpressure must trace pipeline.stall spans"
+            assert metrics.counter("pipeline.stall.count") >= 1
+            assert metrics.counter("pipeline.stall.seconds") > 0
+            assert (
+                metrics.gauge("queue.pipeline.staging_bytes.peak_depth")
+                <= per_batch
+            )
+            stream(2, None)
+        staged = [
+            s for s in recorder.spans
+            if s.category == "pipeline" and s.name.endswith(" stage")
+        ]
+        busy = [
+            s for s in recorder.spans
+            if s.category == "batch" or s.name == "pipeline.pace"
+        ]
+        assert any(
+            s.start < b.end and b.start < s.end for s in staged for b in busy
+        ), "staging never overlapped a commit or pacing span"
+        assert validate_trace(to_perfetto(recorder, metrics)) == []
 
 
 class TestOutOfCore:

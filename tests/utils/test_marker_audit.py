@@ -4,14 +4,19 @@ Tier-1 is ``pytest -q`` with ``-m 'not slow and not fuzz'``: anything
 expensive must carry the (registered) ``slow`` marker, differential
 fuzz runs must carry ``fuzz``, and the hypothesis property tests that
 guard the fused distribution path must keep their example counts small
-enough to stay inside the tier-1 budget.
+enough to stay inside the tier-1 budget.  ``TREE_AUDIT`` keeps every
+load-bearing test tree wired into those gates, one row per check.
 """
 
 import re
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TESTS = REPO_ROOT / "tests"
+
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+from coverage_floor import REQUIRED_TEST_GLOBS  # noqa: E402
 
 MAX_EXAMPLES_BUDGET = 100
 
@@ -40,6 +45,51 @@ def _runs_on_both_legs(target: str) -> None:
         f"{target} missing from the fallback leg"
     )
     assert f"{target}:" in (REPO_ROOT / "Makefile").read_text()
+
+
+def _legs_pin_cc_and_fallback() -> None:
+    """One CI leg must build the kernel library, the other must run
+    tier-1 without it; the broken-toolchain fallback is tested."""
+    cc, fallback = _ci_legs()
+    assert "REPRO_JIT_PROVIDER: cc" in cc
+    assert "k.warm()" in cc  # a failed build fails the leg
+    assert "REPRO_JIT_PROVIDER: none" in fallback
+    assert "make test" in cc and "make test" in fallback
+    text = (TESTS / "core" / "test_compiled_fallback.py").read_text()
+    assert "class TestBrokenToolchain" in text
+
+
+def _non_empty(*names: str) -> None:
+    for name in names:
+        path = TESTS / name
+        assert path.exists() and path.stat().st_size > 0, name
+
+
+def _floor_requires(*globs: str) -> None:
+    """tools/coverage_floor.py refuses to gate without these files, so
+    a rename can't silently drop the tree's coverage."""
+    for pattern in globs:
+        assert pattern in REQUIRED_TEST_GLOBS, pattern
+
+
+def _slow_marked(fragment: str, *names: str) -> None:
+    """An expensive test (worker pools, 2^22 ingests, 2^17-slot shards)
+    whose name contains ``fragment`` carries the registered ``slow``
+    marker, so it stays out of tier-1."""
+    for name in names:
+        text = (TESTS / name).read_text()
+        match = re.search(
+            rf"@pytest\.mark\.slow\s*\n\s*def (\w*{fragment}\w*)", text
+        )
+        assert match, f"{name}: *{fragment}* test must be slow-marked"
+
+
+def _shared_profiles(*names: str) -> None:
+    """Property tests draw their budgets from tests/profiles.py."""
+    for name in names:
+        text = (TESTS / name).read_text()
+        assert "from profiles import examples" in text, name
+        assert "settings(max_examples" not in text, name
 
 
 class TestMarkerConfig:
@@ -104,13 +154,8 @@ class TestObsTree:
         assert self.EXPECTED <= present
 
     def test_process_backend_equivalence_is_slow_marked(self):
-        """Worker-pool spin-up is the one expensive obs test; it must
-        carry the registered `slow` marker to stay out of tier-1."""
-        text = (TESTS / "obs" / "test_runtime.py").read_text()
-        match = re.search(
-            r"@pytest\.mark\.slow\s*\n\s*def (\w*process\w*)", text
-        )
-        assert match, "process-backend equivalence test must be slow-marked"
+        """Worker-pool spin-up is the one expensive obs test."""
+        _slow_marked("process", "obs/test_runtime.py")
 
     def test_obs_tests_avoid_global_obs_leakage(self):
         """obs state is process-global: tests must scope it through
@@ -122,281 +167,134 @@ class TestObsTree:
                 assert "configure(enabled=False" in text, path.name
 
 
-class TestGrowthTree:
-    """The lifecycle (grow/rehash) suite stays wired into the gates."""
-
-    EXPECTED = {
-        "core/test_store.py",
-        "core/test_growth.py",
-        "core/test_growth_equivalence.py",
-        "multigpu/test_distributed_growth.py",
-    }
-
-    def test_growth_tree_exists_and_non_empty(self):
-        """One module per lifecycle layer: storage policy, single-table
-        growth, growth equivalence properties, coordinated shard growth."""
-        for name in self.EXPECTED:
-            path = TESTS / name
-            assert path.exists() and path.stat().st_size > 0, name
-
-    def test_coverage_floor_requires_growth_tree(self):
-        """tools/coverage_floor.py refuses to gate without these files,
-        so a rename can't silently drop the lifecycle coverage."""
-        text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
-        assert "tests/core/test_growth*.py" in text
-        assert "tests/multigpu/test_distributed_growth*.py" in text
-
-    def test_process_engine_growth_is_slow_marked(self):
-        """Worker-pool growth runs spin up process pools; they must
-        carry the registered `slow` marker to stay out of tier-1."""
-        for name in ("core/test_growth.py", "core/test_growth_equivalence.py"):
-            text = (TESTS / name).read_text()
-            match = re.search(
-                r"@pytest\.mark\.slow\s*\n\s*def (\w*process\w*)", text
-            )
-            assert match, f"{name}: process-engine growth test must be slow-marked"
-
-    def test_growth_property_tests_use_shared_profiles(self):
-        text = (TESTS / "core" / "test_growth_equivalence.py").read_text()
-        assert "from profiles import examples" in text
-        assert "settings(max_examples" not in text
-
-    def test_ci_runs_grow_smoke(self):
-        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        assert "make grow-smoke" in ci
-        assert "grow-smoke:" in (REPO_ROOT / "Makefile").read_text()
-
-
-class TestCompiledTree:
-    """The compiled-backend suite stays wired into every gate."""
-
-    EXPECTED = {
-        "core/test_compiled_kernels.py",
-        "core/test_compiled_fallback.py",
-        "exec/test_compiled_equivalence.py",
-        "multigpu/test_plan.py",
-    }
-
-    def test_compiled_tree_exists_and_non_empty(self):
-        """One module per layer: kernel bit-identity, no-provider
-        fallback, three-way engine equivalence, cascade plan compiler."""
-        for name in self.EXPECTED:
-            path = TESTS / name
-            assert path.exists() and path.stat().st_size > 0, name
-
-    def test_coverage_floor_requires_compiled_tree(self):
-        """tools/coverage_floor.py refuses to gate without these files,
-        so a rename can't silently drop the compiled-path coverage."""
-        text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
-        assert "tests/core/test_compiled_kernels*.py" in text
-        assert "tests/core/test_compiled_fallback*.py" in text
-        assert "tests/exec/test_compiled_equivalence*.py" in text
-
-    def test_legs_pin_cc_and_fallback(self):
-        """One CI leg must build the kernel library, the other must run
-        tier-1 without it; the broken-toolchain fallback is tested."""
-        cc, fallback = _ci_legs()
-        assert "REPRO_JIT_PROVIDER: cc" in cc
-        assert "k.warm()" in cc  # a failed build fails the leg
-        assert "REPRO_JIT_PROVIDER: none" in fallback
-        assert "make test" in cc and "make test" in fallback
-        text = (TESTS / "core" / "test_compiled_fallback.py").read_text()
-        assert "class TestBrokenToolchain" in text
-
-    def test_process_engine_equivalence_is_slow_marked(self):
-        text = (TESTS / "exec" / "test_compiled_equivalence.py").read_text()
-        match = re.search(
-            r"@pytest\.mark\.slow\s*\n\s*def (\w*process\w*)", text
-        )
-        assert match, "process-engine compiled test must be slow-marked"
-
-    def test_compiled_property_tests_use_shared_profiles(self):
-        for name in (
-            "core/test_compiled_kernels.py",
+#: Every load-bearing test tree, as ``{class: {test: (check, *args)}}``.
+#: Each row is one check over the files it names; the classes below are
+#: generated from it, so each check keeps a stable id such as
+#: ``TestGrowthTree::test_growth_tree_exists_and_non_empty``.
+TREE_AUDIT = {
+    "TestGrowthTree": {  # lifecycle: storage, growth, coordinated growth
+        "test_growth_tree_exists_and_non_empty": (
+            _non_empty, "core/test_store.py", "core/test_growth.py",
+            "core/test_growth_equivalence.py",
+            "multigpu/test_distributed_growth.py",
+        ),
+        "test_coverage_floor_requires_growth_tree": (
+            _floor_requires, "tests/core/test_growth*.py",
+            "tests/multigpu/test_distributed_growth*.py",
+        ),
+        "test_process_engine_growth_is_slow_marked": (
+            _slow_marked, "process", "core/test_growth.py",
+            "core/test_growth_equivalence.py",
+        ),
+        "test_growth_property_tests_use_shared_profiles": (
+            _shared_profiles, "core/test_growth_equivalence.py",
+        ),
+    },
+    "TestCompiledTree": {  # kernel identity, fallback, engines, plan
+        "test_compiled_tree_exists_and_non_empty": (
+            _non_empty, "core/test_compiled_kernels.py",
+            "core/test_compiled_fallback.py",
+            "exec/test_compiled_equivalence.py", "multigpu/test_plan.py",
+        ),
+        "test_coverage_floor_requires_compiled_tree": (
+            _floor_requires, "tests/core/test_compiled_kernels*.py",
+            "tests/core/test_compiled_fallback*.py",
+            "tests/exec/test_compiled_equivalence*.py",
+        ),
+        "test_legs_pin_cc_and_fallback": (_legs_pin_cc_and_fallback,),
+        "test_process_engine_equivalence_is_slow_marked": (
+            _slow_marked, "process", "exec/test_compiled_equivalence.py",
+        ),
+        "test_compiled_property_tests_use_shared_profiles": (
+            _shared_profiles, "core/test_compiled_kernels.py",
             "exec/test_compiled_equivalence.py",
-        ):
-            text = (TESTS / name).read_text()
-            assert "from profiles import examples" in text, name
-            assert "settings(max_examples" not in text, name
-
-    def test_ci_runs_compiled_smoke_on_both_legs(self):
-        """`make bench-compiled` exercises the kernel library on the cc
-        leg and the auto-fallback path on the no-compiler leg."""
-        _runs_on_both_legs("bench-compiled")
-
-
-class TestPipelineTree:
-    """The streaming-pipeline suite stays wired into every gate."""
-
-    EXPECTED = {
-        "pipeline/test_pipeline_depth.py",
-        "pipeline/test_staging.py",
-    }
-
-    def test_pipeline_tree_exists_and_non_empty(self):
-        """One module per guarantee: depth bit-identity properties, and
-        the staging arena/budget/scheduler + backpressure/out-of-core."""
-        for name in self.EXPECTED:
-            path = TESTS / name
-            assert path.exists() and path.stat().st_size > 0, name
-
-    def test_coverage_floor_requires_pipeline_tree(self):
-        """tools/coverage_floor.py refuses to gate without these files,
-        so a rename can't silently drop the pipeline coverage."""
-        text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
-        assert "tests/pipeline/test_pipeline_depth*.py" in text
-        assert "tests/pipeline/test_staging*.py" in text
-
-    def test_out_of_core_demo_is_slow_marked(self):
-        """The 2^22 out-of-core ingest is the one expensive pipeline
-        test; it must carry the registered `slow` marker."""
-        text = (TESTS / "pipeline" / "test_staging.py").read_text()
-        match = re.search(
-            r"@pytest\.mark\.slow\s*\n\s*def (\w*2_22\w*)", text
-        )
-        assert match, "2^22 out-of-core ingest must be slow-marked"
-
-    def test_depth_property_tests_use_shared_profiles(self):
-        text = (TESTS / "pipeline" / "test_pipeline_depth.py").read_text()
-        assert "from profiles import examples" in text
-        assert "settings(max_examples" not in text
-
-    def test_ci_runs_stream_smoke_on_both_legs(self):
-        """`make stream-smoke` exercises the pipelined overlap gate on
-        the cc leg and the fallback staging path on the other."""
-        _runs_on_both_legs("stream-smoke")
-
-
-class TestServeTree:
-    """The serving-layer suite stays wired into every gate."""
-
-    EXPECTED = {
-        "serve/test_protocol.py",
-        "serve/test_cache_properties.py",
-        "serve/test_server_client.py",
-        "serve/test_soak.py",
-        "serve/test_faults.py",
-    }
-
-    def test_serve_tree_exists_and_non_empty(self):
-        """One module per guarantee: wire-codec round-trips, cache
-        coherence vs a reference simulator, live end-to-end round
-        trips, soak serial-replay identity, and fault injection."""
-        for name in self.EXPECTED:
-            path = TESTS / name
-            assert path.exists() and path.stat().st_size > 0, name
-
-    def test_coverage_floor_requires_serve_tree(self):
-        """tools/coverage_floor.py refuses to gate without these files,
-        so a rename can't silently drop the serving coverage."""
-        text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
-        assert "tests/serve/test_soak*.py" in text
-        assert "tests/serve/test_faults*.py" in text
-        assert "tests/serve/test_cache_properties*.py" in text
-        assert "tests/serve/test_protocol*.py" in text
-
-    def test_process_client_soak_is_slow_marked(self):
-        """The multi-process soak spawns real client processes; it must
-        carry the registered `slow` marker to stay out of tier-1."""
-        text = (TESTS / "serve" / "test_soak.py").read_text()
-        match = re.search(
-            r"@pytest\.mark\.slow\s*\n\s*def (\w*process\w*)", text
-        )
-        assert match, "process-client soak test must be slow-marked"
-
-    def test_serve_property_tests_use_shared_profiles(self):
-        for name in ("serve/test_protocol.py", "serve/test_cache_properties.py"):
-            text = (TESTS / name).read_text()
-            assert "from profiles import examples" in text, name
-            assert "settings(max_examples" not in text, name
-
-    def test_ci_runs_serve_smoke_on_both_legs(self):
-        """`make serve-smoke` boots a live server atop the compiled
-        kernel path on the cc leg and again on the fallback leg."""
-        _runs_on_both_legs("serve-smoke")
+        ),
+        # the wallclock suite through kernels="compiled": the C library
+        # on the cc leg, the auto-fallback on the other
+        "test_ci_runs_compiled_smoke_on_both_legs": (
+            _runs_on_both_legs, "bench-compiled",
+        ),
+    },
+    "TestPipelineTree": {  # depth identity, staging and backpressure
+        "test_pipeline_tree_exists_and_non_empty": (
+            _non_empty, "pipeline/test_pipeline_depth.py",
+            "pipeline/test_staging.py",
+        ),
+        "test_coverage_floor_requires_pipeline_tree": (
+            _floor_requires, "tests/pipeline/test_pipeline_depth*.py",
+            "tests/pipeline/test_staging*.py",
+        ),
+        "test_out_of_core_demo_is_slow_marked": (
+            _slow_marked, "2_22", "pipeline/test_staging.py",
+        ),
+        "test_depth_property_tests_use_shared_profiles": (
+            _shared_profiles, "pipeline/test_pipeline_depth.py",
+        ),
+    },
+    "TestServeTree": {  # codec, cache, live round trips, soak, faults
+        "test_serve_tree_exists_and_non_empty": (
+            _non_empty, "serve/test_protocol.py",
+            "serve/test_cache_properties.py", "serve/test_server_client.py",
+            "serve/test_soak.py", "serve/test_faults.py",
+        ),
+        "test_coverage_floor_requires_serve_tree": (
+            _floor_requires, "tests/serve/test_soak*.py",
+            "tests/serve/test_faults*.py",
+            "tests/serve/test_cache_properties*.py",
+            "tests/serve/test_protocol*.py",
+        ),
+        "test_process_client_soak_is_slow_marked": (
+            _slow_marked, "process", "serve/test_soak.py",
+        ),
+        "test_serve_property_tests_use_shared_profiles": (
+            _shared_profiles, "serve/test_protocol.py",
+            "serve/test_cache_properties.py",
+        ),
+    },
+    "TestClusterTree": {  # cluster identity + NIC charges, graph, split
+        "test_cluster_tree_exists_and_non_empty": (
+            _non_empty, "multigpu/test_hierarchical.py",
+            "multigpu/test_topology.py", "multigpu/test_multisplit.py",
+        ),
+        "test_coverage_floor_requires_cluster_tree": (
+            _floor_requires, "tests/multigpu/test_hierarchical*.py",
+        ),
+        "test_hierarchical_property_tests_use_shared_profiles": (
+            _shared_profiles, "multigpu/test_hierarchical.py",
+        ),
+    },
+    "TestCompactTree": {  # store planes, cross-layout identity, snapshots
+        "test_compact_tree_exists_and_non_empty": (
+            _non_empty, "core/test_store.py", "core/test_compact_layout.py",
+            "core/test_serialize.py", "multigpu/test_compact_distribution.py",
+        ),
+        "test_coverage_floor_requires_compact_tree": (
+            _floor_requires, "tests/core/test_compact_layout*.py",
+            "tests/core/test_store*.py",
+            "tests/multigpu/test_compact_distribution*.py",
+        ),
+        "test_crossover_cascade_is_slow_marked": (
+            _slow_marked, "crossover", "multigpu/test_compact_distribution.py",
+        ),
+        "test_compact_property_tests_use_shared_profiles": (
+            _shared_profiles, "core/test_compact_layout.py",
+            "core/test_store.py",
+        ),
+    },
+}
 
 
-class TestClusterTree:
-    """The hierarchical-topology suite stays wired into every gate."""
+def _case(check, *args):
+    def test(self):
+        check(*args)
 
-    EXPECTED = {
-        "multigpu/test_hierarchical.py",
-        "multigpu/test_topology.py",
-        "multigpu/test_multisplit.py",
-    }
-
-    def test_cluster_tree_exists_and_non_empty(self):
-        """One module per layer: cluster bit-identity + NIC charging
-        properties, the topology graph model, and the multisplit the
-        two-level split composes."""
-        for name in self.EXPECTED:
-            path = TESTS / name
-            assert path.exists() and path.stat().st_size > 0, name
-
-    def test_coverage_floor_requires_cluster_tree(self):
-        """tools/coverage_floor.py refuses to gate without these files,
-        so a rename can't silently drop the hierarchical coverage."""
-        text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
-        assert "tests/multigpu/test_hierarchical*.py" in text
-
-    def test_hierarchical_property_tests_use_shared_profiles(self):
-        text = (TESTS / "multigpu" / "test_hierarchical.py").read_text()
-        assert "from profiles import examples" in text
-        assert "settings(max_examples" not in text
-
-    def test_ci_runs_cluster_smoke_on_both_legs(self):
-        """`make cluster-smoke` gates the one-node-cluster bit-identity
-        and NIC charging atop the compiled kernel path on the cc leg
-        and again on the fallback leg."""
-        _runs_on_both_legs("cluster-smoke")
+    return test
 
 
-class TestCompactTree:
-    """The compact-slot-layout suite stays wired into every gate."""
-
-    EXPECTED = {
-        "core/test_store.py",
-        "core/test_compact_layout.py",
-        "core/test_serialize.py",
-        "multigpu/test_compact_distribution.py",
-    }
-
-    def test_compact_tree_exists_and_non_empty(self):
-        """One module per layer: the store/view planes, the cross-layer
-        bit-identity + modelled-footprint properties, the v3 snapshot
-        width guard, and the distributed byte-accounting contract."""
-        for name in self.EXPECTED:
-            path = TESTS / name
-            assert path.exists() and path.stat().st_size > 0, name
-
-    def test_coverage_floor_requires_compact_tree(self):
-        """tools/coverage_floor.py refuses to gate without these files,
-        so a rename can't silently drop the compact-layout coverage."""
-        text = (REPO_ROOT / "tools" / "coverage_floor.py").read_text()
-        assert "tests/core/test_compact_layout*.py" in text
-        assert "tests/core/test_store*.py" in text
-        assert "tests/multigpu/test_compact_distribution*.py" in text
-
-    def test_crossover_cascade_is_slow_marked(self):
-        """The 2^17-per-shard strictly-fewer-bytes cascade is the one
-        expensive compact test; it must carry the `slow` marker."""
-        text = (TESTS / "multigpu" / "test_compact_distribution.py").read_text()
-        match = re.search(
-            r"@pytest\.mark\.slow\s*\n\s*def (\w*crossover\w*)", text
-        )
-        assert match, "past-crossover cascade test must be slow-marked"
-
-    def test_compact_property_tests_use_shared_profiles(self):
-        for name in ("core/test_compact_layout.py", "core/test_store.py"):
-            text = (TESTS / name).read_text()
-            assert "from profiles import examples" in text, name
-            assert "settings(max_examples" not in text, name
-
-    def test_ci_runs_compact_smoke_on_both_legs(self):
-        """`make compact-smoke` gates cross-layout bit-identity and the
-        narrower modelled charges on the cc leg and again on the
-        fallback leg."""
-        _runs_on_both_legs("compact-smoke")
+for _tree, _rows in TREE_AUDIT.items():
+    globals()[_tree] = type(
+        _tree, (), {name: _case(*row) for name, row in _rows.items()}
+    )
 
 
 class TestHypothesisBudget:
@@ -421,11 +319,8 @@ class TestHypothesisBudget:
 
     def test_migrated_property_tests_use_shared_profiles(self):
         """The fast-path suites draw budgets from tests/profiles.py."""
-        for name in (
+        _shared_profiles(
             "exec/test_backend_equivalence.py",
             "primitives/test_scatter.py",
             "multigpu/test_fused_distribution.py",
-        ):
-            text = (TESTS / name).read_text()
-            assert "from profiles import examples" in text, name
-            assert "settings(max_examples" not in text, name
+        )
