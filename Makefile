@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: test cov fuzz-smoke racecheck fuzz-full bench-compiled
+.PHONY: test cov fuzz-smoke racecheck fuzz-full
 
 # tier-1: fast suite, excludes `slow` and `fuzz` via pyproject addopts;
 # the one correctness gate for every feature
@@ -17,13 +17,6 @@ cov:
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --budget 60s --corpus tests/fuzz/corpus.json
 	$(PYTHON) -m pytest tests/fuzz -m fuzz
-
-# compiled-backend smoke: the serial wallclock suite through
-# kernels="compiled" at tiny n (auto-falls back to "fast" when the C
-# kernel library cannot be built — the printed rows record the backend
-# that ran)
-bench-compiled:
-	$(PYTHON) -m repro bench --smoke --suite wallclock --engines serial --kernels compiled
 
 # racecheck certification: clean tree silent, every mutant flagged
 racecheck:

@@ -2,12 +2,10 @@
 
 Runs the hierarchical cascade through ``cluster:Nx4`` topologies at a
 fixed keyspace (strong scaling, the paper's Fig. 9 discipline) plus a
-NIC-bandwidth sensitivity sweep on the largest shape, and merges the
-rows into ``BENCH_distribution.json`` at the repo root next to the
-fused-vs-reference distribution rows.  Merge discipline: cluster rows
-(``bench`` starting with ``cluster``) are replaced wholesale; every
-other row in the file is preserved, so this runner and
-``bench_distribution.py`` can refresh their halves independently.
+NIC-bandwidth sensitivity sweep on the largest shape, and writes the
+rows to ``BENCH_cluster.json`` at the repo root as a whole file.  Every
+row is modelled: a rerun on another host changes only its ``cpus``
+stamp.
 """
 
 import json
@@ -22,23 +20,14 @@ from repro.bench import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS = REPO_ROOT / "BENCH_distribution.json"
+RESULTS = REPO_ROOT / "BENCH_cluster.json"
 
 N = 1 << 17
 NODE_COUNTS = (1, 2, 4)
 
 
-def merge_cluster_rows(records, path: Path) -> Path:
-    """Replace the file's cluster rows, keeping all other suites' rows."""
-    rows = []
-    if path.exists():
-        rows = [
-            row
-            for row in json.loads(path.read_text())
-            if not str(row.get("bench", "")).startswith("cluster")
-        ]
-    rows.extend(r.to_dict() for r in records)
-    path.write_text(json.dumps(rows, indent=2) + "\n")
+def write_rows(records, path: Path) -> Path:
+    path.write_text(json.dumps([r.to_dict() for r in records], indent=2) + "\n")
     return path
 
 
@@ -48,7 +37,7 @@ def test_cluster_scaling(benchmark):
         iterations=1,
         rounds=1,
     )
-    merge_cluster_rows(records, RESULTS)
+    write_rows(records, RESULTS)
     record("cluster", format_cluster_records(records))
 
     shapes = {(r.bench, r.num_nodes) for r in records}
@@ -75,7 +64,7 @@ def test_cluster_scaling(benchmark):
 
 if __name__ == "__main__":
     rows = run_cluster_suite(n=N, node_counts=NODE_COUNTS, seed=11)
-    out = merge_cluster_rows(rows, RESULTS)
+    out = write_rows(rows, RESULTS)
     print(format_cluster_records(rows))
     print(f"scaling efficiency: {cluster_scaling_efficiency(rows):.2f}")
     print(f"wrote {out}")

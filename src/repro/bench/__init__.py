@@ -2,7 +2,9 @@
 
 One ``run_*`` function per paper artifact; each returns a result object
 with a ``format()`` method printing the paper-style rows/series.  The
-``benchmarks/`` tree wraps these in pytest-benchmark targets.
+``benchmarks/`` tree wraps these in pytest-benchmark targets.  Every
+suite here is modelled; measured host wall clock lives in
+``perfbench/`` only.
 """
 
 from .ablations import (
@@ -42,26 +44,6 @@ from .cluster import (
     format_cluster_records,
     run_cluster_suite,
 )
-from .distribution import (
-    DistributionRecord,
-    distribution_speedup,
-    format_distribution_records,
-    run_distribution_suite,
-)
-from .wallclock import (
-    WallClockRecord,
-    bench_pipeline_depth,
-    bench_single_shard,
-    format_records,
-    run_wallclock_suite,
-    write_results,
-)
-from .serving import (
-    ServingRecord,
-    format_serving_records,
-    run_hit_rate_sweep,
-    run_serving_suite,
-)
 
 __all__ = [
     "run_single_gpu_sweep",
@@ -87,22 +69,8 @@ __all__ = [
     "evaluate_claims",
     "format_scorecard",
     "LayoutAblation",
-    "WallClockRecord",
-    "bench_pipeline_depth",
-    "bench_single_shard",
-    "run_wallclock_suite",
-    "write_results",
-    "format_records",
-    "DistributionRecord",
-    "run_distribution_suite",
     "ClusterScaleRecord",
     "run_cluster_suite",
     "format_cluster_records",
     "cluster_scaling_efficiency",
-    "format_distribution_records",
-    "distribution_speedup",
-    "ServingRecord",
-    "run_serving_suite",
-    "run_hit_rate_sweep",
-    "format_serving_records",
 ]

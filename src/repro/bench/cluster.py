@@ -9,9 +9,7 @@ NIC.  A second sweep holds the cluster shape fixed and varies the NIC
 bandwidth — the sensitivity rows that show when the inter-node level
 (``alltoall_inter_seconds``) overtakes the intra-node one.
 
-Rows land in ``BENCH_distribution.json`` next to the fused-vs-reference
-distribution rows (the two suites share the file; see
-``benchmarks/bench_cluster.py`` for the merge discipline).
+``benchmarks/bench_cluster.py`` writes the rows to ``BENCH_cluster.json``.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ NIC_SENSITIVITY_BANDWIDTHS = (
 
 @dataclass
 class ClusterScaleRecord:
-    """One modelled cluster cascade (the ``BENCH_distribution.json``
-    cluster row schema)."""
+    """One modelled cluster cascade (the ``BENCH_cluster.json`` row
+    schema)."""
 
     bench: str  # cluster_insert | cluster_query | cluster_nic
     n: int  # total keys — fixed across the node sweep

@@ -10,9 +10,6 @@ rates
     Modelled single-GPU insert/retrieve rates for chosen loads and |g|.
 figures
     Regenerate paper figures (delegates to the experiment harness).
-bench
-    Measured wall-clock suites: shard-execution backends and the
-    fused-vs-reference distribution path.
 trace
     Run a small traced cascade and write a Chrome/Perfetto
     ``.trace.json`` through :mod:`repro.obs`.
@@ -159,79 +156,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.bench.figures import print_all_figures
 
     print_all_figures(full=args.full)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        bench_pipeline_depth,
-        distribution_speedup,
-        format_distribution_records,
-        format_records,
-        run_distribution_suite,
-        run_wallclock_suite,
-        write_results,
-    )
-
-    n = 1 << 12 if args.smoke else args.n
-    if args.kernels == "ref" and not args.smoke and n > (1 << 14):
-        print(
-            "note: kernels='ref' runs the per-operation verification "
-            "kernels; large n will take a very long time (--smoke "
-            "recommended)"
-        )
-    # resolve --topology/--m once (mutually exclusive) so every suite
-    # row reports the same GPU count
-    num_gpus = _resolve_topology_arg(args).num_devices
-    records: list = []
-    if args.suite in ("wallclock", "all"):
-        wall = run_wallclock_suite(
-            n=n,
-            m=args.m,
-            topology=args.topology,
-            engines=tuple(args.engines) if args.engines else None,
-            workers=args.workers,
-            kernels=args.kernels,
-        )
-        if args.kernels != "ref":
-            wall.extend(
-                bench_pipeline_depth(n, m=args.m, topology=args.topology)
-            )
-        print(format_records(wall))
-        if args.kernels == "ref":
-            print(
-                "(ref kernels: single-shard rows only — the cascade has "
-                "no ref-level dispatch)"
-            )
-        records.extend(wall)
-    if args.suite in ("distribution", "all"):
-        dist = run_distribution_suite(n=n, m=args.m, topology=args.topology)
-        print(format_distribution_records(dist))
-        print(
-            f"distribution total speedup: "
-            f"{distribution_speedup(dist, 'total'):.2f}x fused vs reference"
-        )
-        records.extend(dist)
-    if args.suite in ("serving", "all"):
-        from repro.bench import format_serving_records, run_serving_suite
-
-        serving = run_serving_suite(
-            num_gpus=num_gpus,
-            batches_per_client=4 if args.smoke else 16,
-            batch_size=4096 if args.smoke else 32768,
-        )
-        print(format_serving_records(serving))
-        off = next(r for r in serving if r.cache == "off")
-        on = next(r for r in serving if r.cache == "on")
-        if off.seconds and on.seconds:
-            print(
-                f"serving cache lift: {off.seconds / on.seconds:.2f}x "
-                f"at {on.hit_rate:.0%} hit rate"
-            )
-        records.extend(serving)
-    if args.out:
-        path = write_results(records, args.out)
-        print(f"wrote {path}")
     return 0
 
 
@@ -480,49 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     score.add_argument("--full", action="store_true")
     score.set_defaults(fn=_cmd_scorecard)
-
-    bench = sub.add_parser(
-        "bench", help="measured wall-clock suites (engines, distribution)"
-    )
-    bench.add_argument("--n", type=int, default=1 << 18, help="keys per bench")
-    bench.add_argument(
-        "--m", type=int, default=None,
-        help="GPUs in the cascade (default 4; exclusive with --topology)",
-    )
-    bench.add_argument(
-        "--topology", default=None, metavar="SPEC",
-        help='''topology spec: "p100:M", "pcie:M", "dgx1v", "cluster:NxM" (see repro.options)''',
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("wallclock", "distribution", "serving", "all"),
-        default="all",
-        help="which measured suite(s) to run",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true", help="tiny n for a quick sanity run"
-    )
-    bench.add_argument(
-        "--engines",
-        nargs="+",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help="backends to compare (default: all)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None, help="pool size for thread/process"
-    )
-    bench.add_argument(
-        "--kernels",
-        choices=("fast", "ref", "compiled"),
-        default="fast",
-        help="kernel backend for the wallclock suite (compiled falls "
-        "back to fast without the C kernel library; rows record what ran)",
-    )
-    bench.add_argument(
-        "--out", default=None, help="also write records to this JSON path"
-    )
-    bench.set_defaults(fn=_cmd_bench)
 
     serve = sub.add_parser(
         "serve",

@@ -12,7 +12,7 @@ is reported through this subsystem:
   :class:`~repro.multigpu.distributed_table.CascadeReport` /
   :class:`~repro.memory.transfer.TransferRecord` streams;
 * exporters — Perfetto ``trace_event`` JSON (:func:`write_trace`),
-  flat ``BENCH_*.json``-shaped metrics (:func:`write_metrics`), and the
+  flat per-metric JSON rows (:func:`write_metrics`), and the
   shared ASCII Gantt renderer (:func:`render_rows`);
 * the :class:`Reportable` protocol every report type in the repo
   implements (``to_dict()`` + ``schema_version``).

@@ -6,8 +6,7 @@ Three ways out of the observability spine:
   ``trace_event`` format (open ``chrome://tracing`` or
   https://ui.perfetto.dev and load the ``.trace.json``);
 * :func:`metrics_rows` / :func:`write_metrics` — a flat JSON array of
-  row objects in the same shape as ``BENCH_wallclock.json`` /
-  ``BENCH_distribution.json``;
+  self-describing row objects, one per metric;
 * :func:`render_rows` / :func:`render_trace` — the ASCII Gantt renderer
   behind :meth:`repro.pipeline.timeline.Timeline.render` and
   :meth:`repro.exec.metrics.MeasuredTimeline.render`, generalized to any
@@ -182,11 +181,10 @@ def validate_trace(data: Any) -> list[str]:
 def metrics_rows(
     metrics: MetricsRegistry, **context: Any
 ) -> list[dict[str, Any]]:
-    """One row object per metric, ``BENCH_*.json`` style.
+    """One row object per metric.
 
-    ``context`` keys (e.g. ``bench=``, ``n=``, ``trace_id=``) repeat on
-    every row so files stay self-describing, exactly like the ``cpus``
-    column of the wall-clock suites.
+    ``context`` keys (e.g. ``bench=``, ``n=``, ``trace_id=``) and the
+    host's ``cpus`` repeat on every row so files stay self-describing.
     """
     base = {"cpus": os.cpu_count() or 1, **context}
     return [

@@ -7,8 +7,7 @@ A :class:`MetricsRegistry` rolls the per-operation report objects —
 flat name → value map, the numeric complement of the span timeline in
 :mod:`repro.obs.trace`.  Counters accumulate monotonically (bytes,
 retries, probe windows); gauges hold last-observed values (queue depth,
-load imbalance).  ``snapshot()`` is the flat JSON the exporters write
-next to ``BENCH_*.json``.
+load imbalance).  ``snapshot()`` is the flat JSON the exporters write.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 The hooks wired through :mod:`repro.simt`, :mod:`repro.exec`,
 :mod:`repro.multigpu`, and :mod:`repro.pipeline` all call through this
 module.  Disabled (the default) every call is a single attribute check
-returning a shared no-op — zero allocation, no recorder, no lock — so
-the instrumented hot paths run at their uninstrumented speed
-(``benchmarks/bench_wallclock.py`` regressions gate this).  Enabled via
+returning a shared no-op — zero allocation, no recorder, no lock.  No
+test or benchmark gates that cost: perfbench's traced run prices the
+*enabled* path (``trace.overhead_s``), and re-measuring the disabled
+path is open work (ROADMAP item 7).  Enabled via
 :func:`configure` or the scoped :func:`session`, the same calls record
 into one :class:`~repro.obs.trace.TraceRecorder` and
 :class:`~repro.obs.metrics.MetricsRegistry` pair.

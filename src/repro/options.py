@@ -62,7 +62,7 @@ set:
     :class:`~repro.multigpu.topology.TopologySpec`, or a spec string
     (``"p100"``, ``"pcie:8"``, ``"dgx1v"``, ``"cluster:2x4"`` — see
     ``docs/topology.md``).  Accepted by ``DistributedHashTable``,
-    ``AsyncCascadeDriver``, the bench suites, and the CLI's
+    ``AsyncCascadeDriver``, the cluster bench, and the CLI's
     ``--topology``; resolved by the
     :func:`~repro.multigpu.topology.topology` factory.
 

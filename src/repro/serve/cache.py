@@ -109,8 +109,7 @@ class HotKeyCache:
         ``2`` keeps single-shot keys from even being considered.
         Estimates count *sampled* touches (see ``sketch_sample``).
     sketch_width, sketch_depth:
-        Count-min sketch geometry.  The default 4×4096 over-counts by
-        <1 for the serving workloads in the bench suite.
+        Count-min sketch geometry (default 4×4096).
     sketch_sample:
         Count every ``sketch_sample``-th key of each lookup batch into
         the sketch (systematic sampling).  Relative frequencies — all

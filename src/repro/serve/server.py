@@ -165,7 +165,7 @@ class KVServer:
         directory; a ``str`` binds that unix path; an ``(host, port)``
         tuple binds TCP (port 0 picks a free port).
     cache:
-        ``False`` disables the hot-key tier (the bench suite's control).
+        ``False`` disables the hot-key tier.
     cache_size, promote_after:
         Forwarded to :class:`HotKeyCache`.
     batch_window:

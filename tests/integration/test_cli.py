@@ -55,23 +55,3 @@ class TestCommands:
         out = capsys.readouterr().out
         for marker in ("Fig. 7", "Fig. 9", "Fig. 11", "A1", "A4"):
             assert marker in out
-
-    def test_bench_smoke_distribution(self, capsys, tmp_path):
-        out_path = tmp_path / "dist.json"
-        assert (
-            main(
-                ["bench", "--smoke", "--suite", "distribution",
-                 "--out", str(out_path)]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "distribution total speedup" in out
-        assert "vs reference" in out
-        assert out_path.exists() and '"cpus"' in out_path.read_text()
-
-    def test_bench_suite_choices(self):
-        args = build_parser().parse_args(["bench", "--smoke"])
-        assert args.suite == "all"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--suite", "warp"])

@@ -78,8 +78,8 @@ class TestCompactCascade:
             assert c[op].alltoall_bytes == a[op].alltoall_bytes
             assert c[op].reverse_bytes == a[op].reverse_bytes
 
-    @staticmethod
-    def _assert_strictly_fewer_bytes(n: int):
+    @pytest.mark.parametrize("n", [2000, 30000])
+    def test_strictly_fewer_bytes_past_crossover(self, n):
         """At 2^17 slots/GPU (record 7 B) the compact cascade owes
         strictly fewer VRAM, all-to-all, and reverse bytes at equal n."""
         cap = 1 << 17
@@ -90,13 +90,6 @@ class TestCompactCascade:
             assert c[op].table_bytes < a[op].table_bytes
         assert c["ins"].alltoall_bytes < a["ins"].alltoall_bytes
         assert c["qry"].reverse_bytes < a["qry"].reverse_bytes
-
-    def test_fewer_bytes_past_crossover_small_n(self):
-        self._assert_strictly_fewer_bytes(2000)
-
-    @pytest.mark.slow
-    def test_strictly_fewer_bytes_past_crossover(self):
-        self._assert_strictly_fewer_bytes(30000)
 
     def test_growth_refreshes_table_bytes(self):
         """Commit-time growth widens the shards; the post-commit report

@@ -113,25 +113,17 @@ class TestReportTypes:
         assert payload["measured_makespan"] is None  # measure=False
         assert payload["spans"]
 
-    def test_wallclock_record(self):
-        from repro.bench.wallclock import WallClockRecord
+    def test_cluster_scale_record(self):
+        from repro.bench import ClusterScaleRecord
 
-        rec = WallClockRecord(
-            bench="single_shard_insert", n=100, m=1,
-            engine="serial", ops_per_s=1e6, seconds=1e-4,
+        rec = ClusterScaleRecord(
+            bench="cluster_insert", n=100, num_nodes=2, gpus_per_node=4,
+            m=8, nic_bandwidth=12.5e9, seconds=1e-4, ops_per_s=1e6,
+            alltoall_intra_seconds=1e-6, alltoall_inter_seconds=2e-5,
+            alltoall_inter_bytes=4096,
         )
         payload = _assert_reportable(rec)
-        assert payload["engine"] == "serial" and payload["cpus"] >= 1
-
-    def test_distribution_record(self):
-        from repro.bench.distribution import DistributionRecord
-
-        rec = DistributionRecord(
-            bench="multisplit", n=100, m=4, path="fused",
-            seconds=1e-4, ops_per_s=1e6,
-        )
-        payload = _assert_reportable(rec)
-        assert payload["path"] == "fused"
+        assert payload["num_nodes"] == 2 and payload["cpus"] >= 1
 
     def test_racecheck_report(self):
         from repro.sanitize.mutants import run_clean

@@ -11,10 +11,7 @@ and modelled pacing (which must never change results, only seconds).
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -146,36 +143,3 @@ class TestDepthEquivalence:
         assert d["pace"] == "none"
         assert "stall_seconds" in d and "peak_staged_bytes" in d
 
-
-class TestMeasuredOverlap:
-    @pytest.mark.skipif(
-        sys.gettrace() is not None,
-        reason="measured-makespan comparison is meaningless under a "
-        "tracer (coverage/debug): host staging slows ~20x while the "
-        "modelled pacing sleeps do not",
-    )
-    def test_paced_depth2_beats_depth1_measured(self):
-        """The acceptance gate in miniature: same modelled device, same
-        cascades — depth=2's *measured* makespan drops because staging
-        (~7 ms/wave at this size) genuinely overlaps the ~12 ms modelled
-        kernel occupancy.  One retry absorbs scheduler-noise flakes; the
-        structural win (~10%) must still show."""
-        batches, _, _ = stream_data(1 << 20, 8, 11)
-
-        def measured(depth):
-            node = p100_nvlink_node(4)
-            table = DistributedHashTable(1 << 21, topology=node)
-            driver = AsyncCascadeDriver(
-                table, depth=depth, pace="modelled", measure=True,
-                scale=500.0,
-            )
-            return driver.insert_stream(iter(batches)).measured_makespan
-
-        attempts = []
-        for _ in range(2):
-            m1, m2 = measured(1), measured(2)
-            assert m1 is not None and m2 is not None
-            attempts.append((m1, m2))
-            if m2 < m1:
-                return
-        raise AssertionError(f"no overlap win across attempts: {attempts}")

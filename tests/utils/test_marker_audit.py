@@ -38,15 +38,6 @@ def _ci_legs() -> tuple[str, str]:
     return cc, fallback
 
 
-def _runs_on_both_legs(target: str) -> None:
-    cc, fallback = _ci_legs()
-    assert f"make {target}" in cc, f"{target} missing from the cc leg"
-    assert f"make {target}" in fallback, (
-        f"{target} missing from the fallback leg"
-    )
-    assert f"{target}:" in (REPO_ROOT / "Makefile").read_text()
-
-
 def _legs_pin_cc_and_fallback() -> None:
     """One CI leg must build the kernel library, the other must run
     tier-1 without it; the broken-toolchain fallback is tested."""
@@ -119,10 +110,10 @@ class TestMarkerConfig:
         assert "tests" in match.group(1)  # tests/fuzz deselected by marker
 
     def test_benchmarks_outside_tier1_paths(self):
-        """The 2^18 measurement lives in benchmarks/, not testpaths."""
+        """The full-size modelled sweeps live in benchmarks/, not testpaths."""
         match = re.search(r"testpaths\s*=\s*\[([^\]]*)\]", _pyproject())
         assert match and "benchmarks" not in match.group(1)
-        assert (REPO_ROOT / "benchmarks" / "bench_distribution.py").exists()
+        assert (REPO_ROOT / "benchmarks" / "bench_cluster.py").exists()
 
     def test_slow_marks_use_registered_name(self):
         """Every pytest.mark.<name> in tests/ is a registered marker."""
@@ -209,11 +200,6 @@ TREE_AUDIT = {
             _shared_profiles, "core/test_compiled_kernels.py",
             "exec/test_compiled_equivalence.py",
         ),
-        # the wallclock suite through kernels="compiled": the C library
-        # on the cc leg, the auto-fallback on the other
-        "test_ci_runs_compiled_smoke_on_both_legs": (
-            _runs_on_both_legs, "bench-compiled",
-        ),
     },
     "TestPipelineTree": {  # depth identity, staging and backpressure
         "test_pipeline_tree_exists_and_non_empty": (
@@ -272,9 +258,6 @@ TREE_AUDIT = {
             _floor_requires, "tests/core/test_compact_layout*.py",
             "tests/core/test_store*.py",
             "tests/multigpu/test_compact_distribution*.py",
-        ),
-        "test_crossover_cascade_is_slow_marked": (
-            _slow_marked, "crossover", "multigpu/test_compact_distribution.py",
         ),
         "test_compact_property_tests_use_shared_profiles": (
             _shared_profiles, "core/test_compact_layout.py",
