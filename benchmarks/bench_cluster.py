@@ -4,8 +4,7 @@ Runs the hierarchical cascade through ``cluster:Nx4`` topologies at a
 fixed keyspace (strong scaling, the paper's Fig. 9 discipline) plus a
 NIC-bandwidth sensitivity sweep on the largest shape, and writes the
 rows to ``BENCH_cluster.json`` at the repo root as a whole file.  Every
-row is modelled: a rerun on another host changes only its ``cpus``
-stamp.
+field is modelled, so a rerun on any host rewrites the same bytes.
 """
 
 import json

@@ -14,7 +14,6 @@ bandwidth — the sensitivity rows that show when the inter-node level
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -56,14 +55,9 @@ class ClusterScaleRecord:
     alltoall_intra_seconds: float
     alltoall_inter_seconds: float
     alltoall_inter_bytes: int
-    #: host cores the run had (records stay interpretable across boxes)
-    cpus: int = 0
 
-    schema_version = 1
-
-    def __post_init__(self):
-        if not self.cpus:
-            self.cpus = os.cpu_count() or 1
+    #: 2: the host ``cpus`` stamp is gone — every field is modelled
+    schema_version = 2
 
     def to_dict(self) -> dict:
         """:class:`repro.obs.Reportable` serialization (stable keys)."""
@@ -81,7 +75,6 @@ class ClusterScaleRecord:
                 "alltoall_intra_seconds": self.alltoall_intra_seconds,
                 "alltoall_inter_seconds": self.alltoall_inter_seconds,
                 "alltoall_inter_bytes": self.alltoall_inter_bytes,
-                "cpus": self.cpus,
             },
         )
 

@@ -369,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--n", type=int, default=100_000, help="pairs to insert")
     demo.add_argument(
         "--engine",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "thread"),
         default="serial",
         help="shard-execution backend for the multi-GPU part",
     )
     demo.add_argument(
-        "--workers", type=int, default=None, help="pool size for thread/process"
+        "--workers", type=int, default=None, help="pool size for the thread engine"
     )
     demo.add_argument(
         "--topology", default=None, metavar="SPEC",
@@ -470,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--engine",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "thread"),
         default="serial",
         help="shard-execution backend to trace",
     )
     trace.add_argument(
-        "--workers", type=int, default=None, help="pool size for thread/process"
+        "--workers", type=int, default=None, help="pool size for the thread engine"
     )
     trace.add_argument(
         "--smoke", action="store_true", help="tiny n for a quick sanity run"

@@ -30,9 +30,8 @@ class CountingHashTable:
     """A multiset of keys backed by a WarpDrive table.
 
     Parameters mirror :class:`WarpDriveHashTable` — including the
-    unified option vocabulary (``engine=``, ``probing=``, ``layout=``,
-    ``growth=``; :mod:`repro.options`), all forwarded to the backing
-    table.
+    unified option vocabulary (``probing=``, ``layout=``, ``growth=``;
+    :mod:`repro.options`), all forwarded to the backing table.
     The stored value is the saturating occurrence count.
     """
 
@@ -43,12 +42,11 @@ class CountingHashTable:
         group_size: int = 4,
         p_max: int | None = None,
         device: Device | None = None,
-        engine: object = None,
         probing: str = UNSET,
         layout: str = UNSET,
         growth=UNSET,
     ):
-        kwargs = {"group_size": group_size, "engine": engine}
+        kwargs = {"group_size": group_size}
         if p_max is not None:
             kwargs["p_max"] = p_max
         for opt, val in (("probing", probing), ("layout", layout),

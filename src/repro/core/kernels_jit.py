@@ -111,7 +111,7 @@ def warm() -> bool:
 
     Returns True when the compiled path is live, False when it would
     fall back — callers warm before timing so the first measured launch
-    never pays the build.  Each worker process warms itself.
+    never pays the build.
     """
     return compiled_available()
 

@@ -36,10 +36,9 @@ class MultiValueHashTable:
     """Open-addressing multi-map: one key, many values.
 
     Takes the unified option vocabulary of :mod:`repro.options`:
-    ``engine=`` (decides shared-memory slot backing, exactly like the
-    single-value table), ``probing=`` and ``layout=`` (the probing and
-    storage policies of :mod:`repro.core.probing` /
-    :mod:`repro.core.store`), and ``kernels=`` on the bulk methods.
+    ``probing=`` and ``layout=`` (the probing and storage policies of
+    :mod:`repro.core.probing` / :mod:`repro.core.store`), and
+    ``kernels=`` on the bulk methods.
     """
 
     def __init__(
@@ -51,20 +50,14 @@ class MultiValueHashTable:
         family: DoubleHashFamily | None = None,
         probing: str = "window",
         layout: str = "aos",
-        engine: object = None,
-        shared: bool = False,
     ):
         if capacity <= 0:
             raise ConfigurationError(f"capacity must be > 0, got {capacity}")
         check_group_size(group_size)
-        if engine is not None:
-            shared = shared or engine == "process" or bool(
-                getattr(engine, "requires_shared_slots", False)
-            )
         self.capacity = capacity
         self.family = family if family is not None else make_double_family()
         self.seq = make_window_sequence(probing, self.family, group_size, p_max)
-        self.store = make_store(capacity, layout=layout, shared=shared)
+        self.store = make_store(capacity, layout=layout)
         self.counter = TransactionCounter()
         self._size = 0
         self.last_report: KernelReport | None = None
@@ -73,10 +66,6 @@ class MultiValueHashTable:
     def slots(self):
         """The packed slot view (storage-policy controlled)."""
         return self.store.view
-
-    def shm_descriptor(self):
-        """Shared-memory descriptor of the slot table (None if not shared)."""
-        return self.store.descriptor()
 
     def free(self) -> None:
         """Release the slot storage."""

@@ -49,7 +49,7 @@ class PartitionedWarpDriveTable:
         independently as its own load trips the threshold.
     engine, workers:
         Shard-execution backend; sub-tables are disjoint so their bulk
-        kernels run concurrently under ``"thread"``/``"process"``.
+        kernels run concurrently under ``"thread"``.
     kernels:
         Kernel backend for the sub-table bulk ops: ``"fast"`` (default)
         or ``"compiled"`` (C inner loops, bit-identical, auto-falling
@@ -99,10 +99,7 @@ class PartitionedWarpDriveTable:
         self.engine = create_engine(engine, workers=workers)
         self._owns_engine = not isinstance(engine, ExecutionEngine)
         sub_capacity = -(-capacity // self.num_partitions)
-        kwargs = {
-            "group_size": group_size,
-            "shared": self.engine.requires_shared_slots,
-        }
+        kwargs = {"group_size": group_size}
         if p_max is not None:
             kwargs["p_max"] = p_max
         for opt, val in (("probing", probing), ("layout", layout),
@@ -171,7 +168,6 @@ class PartitionedWarpDriveTable:
                     keys=keys[idx],
                     values=None if values is None else values[idx],
                     default=default,
-                    shm=sub.shm_descriptor(),
                     kernels=self.kernels,
                 )
             )
@@ -205,8 +201,7 @@ class PartitionedWarpDriveTable:
         check_same_length("keys", k, "values", v)
         routed = self._route(k)
         # growth-policy sub-tables resize *before* the shard tasks snapshot
-        # their slot views/descriptors, so every backend (incl. process
-        # workers attaching by segment name) sees the grown store
+        # their slot views, so every backend sees the grown store
         for p, idx in enumerate(routed):
             if idx.size:
                 self.subtables[p].ensure_capacity(idx.size)

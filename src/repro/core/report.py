@@ -62,8 +62,8 @@ class KernelReport:
     def charge_to(self, counter) -> None:
         """Add this kernel's work to a transaction counter (one launch).
 
-        Shard engines run kernels without a counter (workers may live in
-        another process) and charge the owning device afterwards — in
+        Shard engines run kernels without a counter (pool threads may run
+        them concurrently) and charge the owning device afterwards — in
         shard order, so totals are identical across backends.
         """
         counter.load_sectors += self.load_sectors

@@ -43,10 +43,9 @@ Three layouts ship:
     (sentinels share the key half and differ in the value half, exactly
     as in ``soa``).  See ``docs/compact_layout.md``.
 
-Either layout can live in plain memory, simulated VRAM
-(:class:`~repro.memory.buffer.DeviceBuffer`), or POSIX shared memory
-(:mod:`repro.exec.shm`) for the process execution backend; a device
-sanitizer shadow-instruments the view in every combination.
+Every layout can live in plain memory or simulated VRAM
+(:class:`~repro.memory.buffer.DeviceBuffer`); a device sanitizer
+shadow-instruments the view in every combination.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ __all__ = [
     "compact_slot_bits",
     "slot_record_bytes",
     "make_store",
-    "attach_view",
 ]
 
 _U64 = np.uint64
@@ -318,27 +316,25 @@ class SlotStore:
     """Owner of one table's slot memory, behind a packed view.
 
     Concrete stores provide ``_allocate``/``_release`` and the packed
-    ``view`` construction; everything else — descriptor plumbing,
-    fill/clear, packed import/export — is layout-independent here.
+    ``view`` construction; everything else — fill/clear, packed
+    import/export — is layout-independent here.
     """
 
     layout: str = "abstract"
 
-    def __init__(self, capacity: int, *, device=None, shared: bool = False,
-                 sanitizer=None):
+    def __init__(self, capacity: int, *, device=None, sanitizer=None):
         if capacity < 0:
             raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self.device = device
         self.sanitizer = sanitizer
-        self.shm = None
         self._buffers: list = []
         self._view = None
-        self._allocate(shared)
+        self._allocate()
 
     # -- subclass hooks ---------------------------------------------------
 
-    def _allocate(self, shared: bool) -> None:
+    def _allocate(self) -> None:
         raise NotImplementedError
 
     def packed(self) -> np.ndarray:
@@ -373,21 +369,14 @@ class SlotStore:
         """Modelled bytes per slot record (see :func:`slot_record_bytes`)."""
         return slot_record_bytes(self.layout, self.capacity)
 
-    def descriptor(self):
-        """Shared-memory descriptor for worker attach (None if private)."""
-        return self.shm.descriptor() if self.shm is not None else None
-
     def fill(self, value=EMPTY_SLOT) -> None:
         self._view.fill(value)
 
     def free(self) -> None:
-        """Release VRAM reservations and any shared-memory segment."""
+        """Release VRAM reservations and the slot planes."""
         for buf in self._buffers:
             buf.free()
         self._buffers = []
-        if self.shm is not None:
-            self.shm.close()
-            self.shm = None
         self._release()
 
     def _release(self) -> None:
@@ -412,19 +401,10 @@ class PackedSlotStore(SlotStore):
 
         return ShadowedArray(raw, self.sanitizer)
 
-    def _allocate(self, shared: bool) -> None:
+    def _allocate(self) -> None:
         from ..memory.buffer import DeviceBuffer
 
-        if shared:
-            from ..exec.shm import SharedSlots
-
-            self.shm = SharedSlots(self.capacity, fill=EMPTY_SLOT)
-            self._raw = self.shm.array
-            if self.device is not None:
-                self._buffers.append(
-                    DeviceBuffer.from_array(self.device, self._raw)
-                )
-        elif self.device is not None:
+        if self.device is not None:
             buf = DeviceBuffer.full(
                 self.device, self.capacity, EMPTY_SLOT, dtype=np.uint64
             )
@@ -450,23 +430,11 @@ class SplitSlotStore(SlotStore):
 
     layout = "soa"
 
-    def _allocate(self, shared: bool) -> None:
+    def _allocate(self) -> None:
         from ..memory.buffer import DeviceBuffer
 
         hi, lo = _halves(EMPTY_SLOT)
-        if shared:
-            from ..exec.shm import SharedSlots
-
-            self.shm = SharedSlots(self.capacity, layout="soa")
-            self._k, self._v = self.shm.keys, self.shm.values
-            if self.device is not None:
-                self._buffers.append(
-                    DeviceBuffer.from_array(self.device, self._k)
-                )
-                self._buffers.append(
-                    DeviceBuffer.from_array(self.device, self._v)
-                )
-        elif self.device is not None:
+        if self.device is not None:
             kbuf = DeviceBuffer.full(
                 self.device, self.capacity, hi, dtype=np.uint32
             )
@@ -510,25 +478,13 @@ class CompactSlotStore(SlotStore):
         record = slot_record_bytes("compact", self.capacity)
         return self.capacity * (record - 4), self.capacity * 4
 
-    def _allocate(self, shared: bool) -> None:
+    def _allocate(self) -> None:
         from ..memory.buffer import DeviceBuffer
 
         hi, lo = _halves(EMPTY_SLOT)
         rq_fill = _sigma_scalar(hi)
         rq_bytes, v_bytes = self._plane_bytes()
-        if shared:
-            from ..exec.shm import SharedSlots
-
-            self.shm = SharedSlots(self.capacity, layout="compact")
-            self._rq, self._v = self.shm.keys, self.shm.values
-            if self.device is not None:
-                self._buffers.append(
-                    DeviceBuffer.from_array(self.device, self._rq, nbytes=rq_bytes)
-                )
-                self._buffers.append(
-                    DeviceBuffer.from_array(self.device, self._v, nbytes=v_bytes)
-                )
-        elif self.device is not None:
+        if self.device is not None:
             rqbuf = DeviceBuffer.full(
                 self.device, self.capacity, rq_fill, dtype=np.uint32,
                 nbytes=rq_bytes,
@@ -573,7 +529,6 @@ def make_store(
     *,
     layout: str = "aos",
     device=None,
-    shared: bool = False,
     sanitizer=None,
 ) -> SlotStore:
     """Build the slot store for one table (the ``layout=`` policy)."""
@@ -583,37 +538,5 @@ def make_store(
         raise ConfigurationError(
             f"unknown slot layout {layout!r}; choose from {STORE_LAYOUTS}"
         ) from None
-    return cls(capacity, device=device, shared=shared, sanitizer=sanitizer)
+    return cls(capacity, device=device, sanitizer=sanitizer)
 
-
-def attach_view(descriptor):
-    """Worker-side attach: packed view over a shared store + segment handle.
-
-    Layout-aware counterpart of :func:`repro.exec.shm.attach_slots` —
-    process-pool workers receive a :class:`~repro.exec.shm.SlotsDescriptor`
-    and must reconstruct the same packed view the parent's kernels use,
-    whatever the layout.  The caller keeps the returned segment handle
-    referenced for as long as the view is alive.
-    """
-    from multiprocessing import shared_memory
-
-    if descriptor.dtype != "uint64":
-        raise ConfigurationError(f"unsupported slot dtype {descriptor.dtype!r}")
-    shm = shared_memory.SharedMemory(name=descriptor.name)
-    if descriptor.layout in ("soa", "compact"):
-        keys = np.ndarray((descriptor.capacity,), dtype=np.uint32, buffer=shm.buf)
-        values = np.ndarray(
-            (descriptor.capacity,),
-            dtype=np.uint32,
-            buffer=shm.buf,
-            offset=descriptor.capacity * 4,
-        )
-        if descriptor.layout == "compact":
-            return CompactPackedView(keys, values), shm
-        return SoAPackedView(keys, values), shm
-    if descriptor.layout != "aos":
-        raise ConfigurationError(
-            f"unknown slot layout {descriptor.layout!r} in descriptor"
-        )
-    array = np.ndarray((descriptor.capacity,), dtype=np.uint64, buffer=shm.buf)
-    return array, shm

@@ -72,13 +72,6 @@ class WarpDriveHashTable:
     config:
         Full :class:`~repro.core.config.HashTableConfig`; overrides the
         keyword shortcuts.
-    engine:
-        Name (or instance) of the :mod:`repro.exec` shard-execution
-        backend this table will be driven under.  The table never
-        instantiates the engine itself — the option only decides the
-        storage: ``"process"`` (or any engine with
-        ``requires_shared_slots``) backs the slot array with POSIX
-        shared memory, same as ``shared=True``.
     probing:
         Window-walk policy — ``"window"`` (default), ``"double"``, or
         ``"linear"`` (:mod:`repro.core.probing`); consumed uniformly by
@@ -109,17 +102,11 @@ class WarpDriveHashTable:
         p_max: int | None = None,
         config: HashTableConfig | None = None,
         device: Device | None = None,
-        shared: bool = False,
-        engine: object = None,
         probing: str = UNSET,
         layout: str = UNSET,
         growth: GrowthPolicy | None = UNSET,
         kernels: str = "fast",
     ):
-        if engine is not None:
-            shared = shared or engine == "process" or bool(
-                getattr(engine, "requires_shared_slots", False)
-            )
         overrides = {}
         if probing is not UNSET:
             overrides["probing"] = probing
@@ -151,17 +138,13 @@ class WarpDriveHashTable:
         self.device = device
         self.counter = device.counter if device is not None else TransactionCounter()
 
-        # the storage policy owns the slot memory: plain / VRAM / POSIX
-        # shared memory (``shared=True`` lets the process backend mutate
-        # the table zero-copy), packed or split layout, shadowed when a
-        # sanitizer rides on the device — the table only ever sees the
-        # packed view
-        self._shared = bool(shared)
+        # the storage policy owns the slot memory: plain or VRAM, packed
+        # or split layout, shadowed when a sanitizer rides on the device
+        # — the table only ever sees the packed view
         self.store = make_store(
             config.capacity,
             layout=config.layout,
             device=device,
-            shared=shared,
             sanitizer=device.sanitizer if device is not None else None,
         )
 
@@ -313,19 +296,15 @@ class WarpDriveHashTable:
 
     # -- execution-engine integration -------------------------------------
 
-    def shm_descriptor(self):
-        """Shared-memory descriptor of the slot table (None if not shared)."""
-        return self.store.descriptor()
-
     def absorb_insert(
         self, keys: np.ndarray, values: np.ndarray, report: KernelReport,
         status: np.ndarray,
     ) -> KernelReport:
         """Account an insert kernel the execution engine ran on our slots.
 
-        The engine runs kernels counter-less (workers may live in another
-        process); charging here, in shard order, keeps counter totals
-        bit-identical across serial/thread/process backends.
+        The engine runs kernels counter-less (shard kernels may run on
+        pool threads concurrently); charging here, in shard order, keeps
+        counter totals bit-identical across serial/thread backends.
         """
         report.charge_to(self.counter)
         return self._finish_insert(keys, values, report, status, "fast")
@@ -569,7 +548,6 @@ class WarpDriveHashTable:
                 config.capacity,
                 layout=config.layout,
                 device=self.device,
-                shared=self._shared,
                 sanitizer=self.device.sanitizer if self.device is not None else None,
             )
             self._size = 0
@@ -648,7 +626,7 @@ class WarpDriveHashTable:
             self._note_rehash(report, sp)
 
     def free(self) -> None:
-        """Release simulated VRAM and any shared-memory segment."""
+        """Release simulated VRAM and the slot storage."""
         self.store.free()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

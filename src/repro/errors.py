@@ -53,9 +53,5 @@ class DeviceError(ReproError):
     """A kernel or memory operation targeted an invalid device state."""
 
 
-class ExecutionError(ReproError):
-    """The shard-execution engine failed (backend misuse, worker crash)."""
-
-
 class KeyNotFoundError(ReproError, KeyError):
     """Strict-mode query for a key that is not present in the table."""

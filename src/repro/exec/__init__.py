@@ -3,25 +3,22 @@
 from .engine import (
     ExecutionEngine,
     PendingWave,
-    ProcessEngine,
     SerialEngine,
     ShardKernelResult,
     ShardKernelTask,
     ThreadEngine,
     available_backends,
     create_engine,
+    default_worker_count,
     run_kernel_task,
 )
 from .metrics import MeasuredTimeline, ShardSpan
-from .pool import WorkerError, WorkerPool, default_worker_count
-from .shm import SharedSlots, SlotsDescriptor, attach_slots
 
 __all__ = [
     "ExecutionEngine",
     "PendingWave",
     "SerialEngine",
     "ThreadEngine",
-    "ProcessEngine",
     "ShardKernelTask",
     "ShardKernelResult",
     "run_kernel_task",
@@ -29,10 +26,5 @@ __all__ = [
     "create_engine",
     "MeasuredTimeline",
     "ShardSpan",
-    "WorkerPool",
-    "WorkerError",
     "default_worker_count",
-    "SharedSlots",
-    "SlotsDescriptor",
-    "attach_slots",
 ]

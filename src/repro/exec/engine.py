@@ -11,17 +11,15 @@ concurrency real instead of merely modelled: a
 ``serial``
     in submission order on the calling thread (the reference schedule);
 ``thread``
-    on a thread pool — NumPy kernels release the GIL for large array
-    ops, so shards genuinely overlap on multi-core hosts;
-``process``
-    on a worker-process pool with the slot tables in shared memory
-    (:mod:`repro.exec.shm`), sidestepping the GIL entirely.
+    on a thread pool — the compiled kernels and large NumPy array ops
+    release the GIL, so shards genuinely overlap on multi-core hosts.
 
-Every backend is **deterministic**: shards are disjoint address spaces,
-per-shard kernels are pure functions of (slots, seq, keys, values), and
-results return in task order — so final tables are bit-identical and
-merged :class:`~repro.core.report.KernelReport` counters are equal
-across backends (property-tested in ``tests/exec``).
+Both run in the one host process that drives the node, as the paper's
+driver does.  Every backend is **deterministic**: shards are disjoint
+address spaces, per-shard kernels are pure functions of (slots, seq,
+keys, values), and results return in task order — so final tables are
+bit-identical and merged :class:`~repro.core.report.KernelReport`
+counters are equal across backends (property-tested in ``tests/exec``).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import os
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +41,9 @@ from ..core.kernels_jit import (
 )
 from ..core.probing import WindowSequence
 from ..core.report import KernelReport
-from ..core.store import attach_view
-from ..errors import ConfigurationError, ExecutionError
+from ..errors import ConfigurationError
 from ..obs import runtime as obs
 from .metrics import ShardSpan
-from .pool import WorkerPool, default_worker_count
-from .shm import SlotsDescriptor
 
 __all__ = [
     "ShardKernelTask",
@@ -57,10 +52,15 @@ __all__ = [
     "ExecutionEngine",
     "SerialEngine",
     "ThreadEngine",
-    "ProcessEngine",
     "available_backends",
     "create_engine",
+    "default_worker_count",
 ]
+
+
+def default_worker_count() -> int:
+    """One worker per core, capped — sized for per-shard kernel tasks."""
+    return max(1, min(16, os.cpu_count() or 1))
 
 
 @dataclass
@@ -69,20 +69,13 @@ class ShardKernelTask:
 
     shard: int
     op: str  # "insert" | "query" | "erase"
-    slots: np.ndarray | None
+    slots: np.ndarray
     seq: WindowSequence
     keys: np.ndarray
     values: np.ndarray | None = None
     default: int = 0
-    #: set when the slot array is shared-memory backed (process backend)
-    shm: SlotsDescriptor | None = None
-    #: kernel backend: "fast" or "compiled" ("compiled" re-resolves in
-    #: the executing process, so workers fall back independently)
+    #: kernel backend: "fast" or "compiled" (resolved when the task runs)
     kernels: str = "fast"
-
-    def for_pickling(self) -> "ShardKernelTask":
-        """A copy without the slot array — workers re-map it via ``shm``."""
-        return replace(self, slots=None)
 
 
 @dataclass
@@ -101,20 +94,18 @@ class ShardKernelResult:
     kernels: str = "fast"
 
 
-def run_kernel_task(slots: np.ndarray, task: ShardKernelTask) -> ShardKernelResult:
-    """Execute one task against ``slots`` (no counter: the caller merges).
+def run_kernel_task(task: ShardKernelTask) -> ShardKernelResult:
+    """Execute one task against its slots (no counter: the caller merges).
 
     Work accounting stays in the returned report so counter merging
-    happens on the parent in deterministic shard order, identically for
-    in-process and out-of-process backends.
+    happens on the calling thread in deterministic shard order,
+    identically for every backend.
     """
-    # resolve here, in the executing process: a worker that cannot load
-    # the kernel library falls back on its own, and the result records
-    # the truth; resolving loads the library, so its build time lands in
-    # a jit_compile span before the measured one starts
-    kernels = resolve_kernels(
-        task.kernels, slots=slots, owner="run_kernel_task"
-    )
+    # resolving loads the library, so its build time lands in a
+    # jit_compile span before the measured one starts; the result
+    # records the backend that actually ran
+    slots = task.slots
+    kernels = resolve_kernels(task.kernels, slots=slots, owner="run_kernel_task")
     compiled = kernels == "compiled"
     t0 = time.perf_counter()
     if task.op == "insert":
@@ -158,8 +149,8 @@ class PendingWave:
     ``result()`` blocks until the wave completes and returns the results
     in task order — exactly what :meth:`ExecutionEngine.run` would have
     returned, including the traced dispatch span when :mod:`repro.obs`
-    is enabled.  ``done()`` polls without blocking.  Backends without
-    genuine asynchrony (serial, process) return already-completed waves;
+    is enabled.  ``done()`` polls without blocking.  A backend without
+    genuine asynchrony (serial) returns already-completed waves;
     the thread backend dispatches futures and defers collection, so a
     pipeline committer can overlap host work with the running kernels.
     """
@@ -191,22 +182,18 @@ class ExecutionEngine(ABC):
     """A strategy for running a batch of independent shard kernels."""
 
     name: str = "abstract"
-    #: True when shard tables must be shared-memory backed (process pool)
-    requires_shared_slots: bool = False
 
     def run(self, tasks: list[ShardKernelTask]) -> list[ShardKernelResult]:
         """Execute all tasks; results in task order, spans rebased to 0.
 
         When :mod:`repro.obs` is enabled the dispatch is traced: one
         ``engine`` span for the batch, plus the per-shard measured spans
-        shipped back by the backends (worker pids preserved) merged as
-        its children — the process-safe collection point for
-        out-of-process workers.
+        returned by the backend merged as its children.
         """
         if not obs.enabled():
             return self._run(tasks)
         # the backend rides in attrs, not the name: span trees stay
-        # identical across serial/thread/process (tested in tests/obs)
+        # identical across serial/thread (tested in tests/obs)
         with obs.span(
             "dispatch", "engine", backend=self.name, tasks=len(tasks)
         ) as sp:
@@ -237,7 +224,7 @@ class ExecutionEngine(ABC):
         """Backend hook: execute all tasks, results in task order."""
 
     def close(self) -> None:
-        """Release backend resources (worker threads/processes)."""
+        """Release backend resources (worker threads)."""
 
     def __enter__(self) -> "ExecutionEngine":
         return self
@@ -255,7 +242,7 @@ class SerialEngine(ExecutionEngine):
     name = "serial"
 
     def _run(self, tasks: list[ShardKernelTask]) -> list[ShardKernelResult]:
-        results = [run_kernel_task(task.slots, task) for task in tasks]
+        results = [run_kernel_task(task) for task in tasks]
         _normalize_spans(results)
         return results
 
@@ -280,7 +267,7 @@ class ThreadEngine(ExecutionEngine):
 
     def _run(self, tasks: list[ShardKernelTask]) -> list[ShardKernelResult]:
         pool = self._ensure_pool()
-        futures = [pool.submit(run_kernel_task, t.slots, t) for t in tasks]
+        futures = [pool.submit(run_kernel_task, t) for t in tasks]
         results = [f.result() for f in futures]
         _normalize_spans(results)
         return results
@@ -293,7 +280,7 @@ class ThreadEngine(ExecutionEngine):
         pool = self._ensure_pool()
         traced = obs.enabled()
         t0 = obs.get_recorder().now() if traced else 0.0
-        futures = [pool.submit(run_kernel_task, t.slots, t) for t in tasks]
+        futures = [pool.submit(run_kernel_task, t) for t in tasks]
 
         def _collect() -> list[ShardKernelResult]:
             results = [f.result() for f in futures]
@@ -324,64 +311,9 @@ class ThreadEngine(ExecutionEngine):
             self._pool = None
 
 
-def _process_entry(task: ShardKernelTask) -> ShardKernelResult:
-    """Worker-side: map the shard's shared slots, run, ship the result."""
-    array, shm = _attached(task.shm)
-    del shm  # cache keeps the mapping alive
-    return run_kernel_task(array, task)
-
-
-_ATTACH_CACHE: dict[str, tuple[np.ndarray, object]] = {}
-
-
-def _attached(descriptor: SlotsDescriptor) -> tuple[np.ndarray, object]:
-    # keyed by segment name: a grown table allocates a *new* segment, so
-    # workers naturally re-attach after a resize instead of mutating the
-    # stale mapping
-    cached = _ATTACH_CACHE.get(descriptor.name)
-    if cached is None or cached[0].shape[0] != descriptor.capacity:
-        cached = attach_view(descriptor)
-        _ATTACH_CACHE[descriptor.name] = cached
-    return cached
-
-
-class ProcessEngine(ExecutionEngine):
-    """Worker-process backend over shared-memory slot tables.
-
-    Keys/values and reports are pickled across the queue; the ``uint64``
-    tables themselves are never copied — workers mutate the same pages
-    the parent reads (:mod:`repro.exec.shm`).
-    """
-
-    name = "process"
-    requires_shared_slots = True
-
-    def __init__(self, workers: int | None = None):
-        self._pool = WorkerPool(workers)
-        self.workers = self._pool.workers
-
-    def _run(self, tasks: list[ShardKernelTask]) -> list[ShardKernelResult]:
-        for task in tasks:
-            if task.shm is None:
-                raise ExecutionError(
-                    "process backend needs shared-memory slot tables; "
-                    "construct the table with engine='process' (or "
-                    "shared=True) so shards allocate via repro.exec.shm"
-                )
-        results = self._pool.map(
-            _process_entry, [task.for_pickling() for task in tasks]
-        )
-        _normalize_spans(results)
-        return results
-
-    def close(self) -> None:
-        self._pool.close()
-
-
 BACKENDS: dict[str, type[ExecutionEngine]] = {
     "serial": SerialEngine,
     "thread": ThreadEngine,
-    "process": ProcessEngine,
 }
 
 

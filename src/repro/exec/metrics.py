@@ -25,9 +25,8 @@ class ShardSpan:
     ``shard`` is the shard/GPU index, or ``-1`` for spans covering the
     whole node (e.g. one batch cascade in the async driver).  Times are
     seconds relative to the enclosing timeline's epoch.  ``pid`` is the
-    OS process that ran the work (worker pids under the process engine)
-    — the provenance :class:`repro.obs.TraceRecorder` keeps when it
-    merges spans shipped home from workers.
+    OS process that ran the work — the provenance
+    :class:`repro.obs.TraceRecorder` keeps when it merges the spans.
     """
 
     shard: int

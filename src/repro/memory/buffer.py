@@ -83,13 +83,6 @@ class DeviceBuffer:
             raise ConfigurationError(f"size must be >= 0, got {size}")
         return cls(device, np.full(size, fill, dtype=dtype), nbytes=nbytes)
 
-    @classmethod
-    def from_array(
-        cls, device: Device, array: np.ndarray, *, nbytes: int | None = None
-    ) -> "DeviceBuffer":
-        """Take ownership of an existing array's footprint on ``device``."""
-        return cls(device, array, nbytes=nbytes)
-
     @property
     def nbytes(self) -> int:
         """Modelled (registered) footprint of this buffer."""

@@ -263,10 +263,9 @@ class DistributedHashTable:
         key sets still balance (Fig. 4's ``k mod m`` is available via
         :func:`repro.hashing.modulo_partition`).
     engine, workers:
-        Shard-execution backend (``"serial"``, ``"thread"``, ``"process"``
-        or a ready-made :class:`~repro.exec.ExecutionEngine`) and its
-        worker count.  The process backend allocates every shard's slot
-        array in shared memory so workers mutate the tables zero-copy.
+        Shard-execution backend (``"serial"``, ``"thread"`` or a
+        ready-made :class:`~repro.exec.ExecutionEngine`) and its worker
+        count.
     distribution:
         Host implementation of the distribution phases.  ``"fused"``
         (default) runs the single-pass multisplit and index-routed
@@ -278,9 +277,8 @@ class DistributedHashTable:
         Shard-kernel backend: ``"fast"`` (default, vectorized numpy) or
         ``"compiled"`` (C inner loops, bit-identical; auto-falls back
         to ``"fast"`` with a warning when the kernel library cannot be
-        built — see ``docs/compiled_backend.md``).  Workers re-resolve the
-        backend in their own process; :attr:`CascadeReport.kernels`
-        records what actually ran.
+        built — see ``docs/compiled_backend.md``).
+        :attr:`CascadeReport.kernels` records what actually ran.
     """
 
     def __init__(
@@ -336,7 +334,6 @@ class DistributedHashTable:
         shard_capacity = -(-total_capacity // self.num_gpus)  # ceil div
         kwargs = {
             "group_size": group_size,
-            "shared": self.engine.requires_shared_slots,
             # shards inherit the backend so grow() rehash replays run
             # compiled when the cascade kernels do
             "kernels": self.kernels,
@@ -747,9 +744,8 @@ class DistributedHashTable:
         """Coordinated pre-kernel growth (no-op without growth policies).
 
         Runs after the transposition — each shard's incoming count is
-        known exactly — and before the kernel phase snapshots slot views
-        and shm descriptors, so every engine backend lands the batch in
-        the grown stores.  The target is the max over tripped shards'
+        known exactly — and before the kernel phase snapshots slot views,
+        so every engine backend lands the batch in the grown stores.  The target is the max over tripped shards'
         :meth:`~repro.core.growth.GrowthPolicy.next_capacity`, applied to
         *all* shards so capacities stay uniform.
 
@@ -822,7 +818,6 @@ class DistributedHashTable:
                         if values_per_gpu is None
                         else values_per_gpu[gpu],
                         default=default,
-                        shm=shard.shm_descriptor(),
                         kernels=self.kernels,
                     )
                 )

@@ -5,8 +5,8 @@ Fig. 11), all-to-all traffic (Fig. 6), probing distributions (Fig. 7) —
 is reported through this subsystem:
 
 * :class:`TraceRecorder` — hierarchical measured/modelled spans with
-  ``trace_id``/``span_id``/``parent_id`` lineage, merged process-safely
-  from :mod:`repro.exec` workers;
+  ``trace_id``/``span_id``/``parent_id`` lineage, with the
+  :mod:`repro.exec` shard spans merged in;
 * :class:`MetricsRegistry` — named counters/gauges fed by the
   :class:`~repro.core.report.KernelReport` /
   :class:`~repro.multigpu.distributed_table.CascadeReport` /

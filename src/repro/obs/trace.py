@@ -10,13 +10,11 @@ wall-clock seconds from *modelled* perf-model seconds, so both can live
 on one timeline (the paper's Fig. 5/11 overlap claims are exactly such
 mixed timelines).
 
-The recorder is thread-safe (the ``thread`` engine times shards
-concurrently) and process-safe by construction for the ``process``
-engine: workers never touch the recorder — their
-:class:`~repro.exec.metrics.ShardSpan` measurements travel back pickled
-inside :class:`~repro.exec.engine.ShardKernelResult` and are merged on
-the parent via :meth:`TraceRecorder.record_shard_spans`, keeping each
-worker's ``pid`` for provenance.
+The recorder is thread-safe: the ``thread`` engine times shards
+concurrently, and their :class:`~repro.exec.metrics.ShardSpan`
+measurements come back inside
+:class:`~repro.exec.engine.ShardKernelResult` and are merged on the
+dispatching thread via :meth:`TraceRecorder.record_shard_spans`.
 """
 
 from __future__ import annotations
@@ -198,10 +196,10 @@ class TraceRecorder:
     ) -> list[SpanRecord]:
         """Merge measured :class:`~repro.exec.metrics.ShardSpan`\\ s.
 
-        This is the process-safe collection point: worker processes ship
-        their 0-based spans home inside results, and the parent rebases
-        them by ``offset`` (the phase start in recorder time) here.  A
-        worker's ``pid`` is preserved when the span carries one.
+        Backends return 0-based spans inside their results, and the
+        dispatcher rebases them by ``offset`` (the phase start in
+        recorder time) here.  A span's ``pid`` is preserved when it
+        carries one.
         """
         out = []
         for s in shard_spans:
@@ -240,22 +238,18 @@ class TraceRecorder:
             key=lambda s: (s.start, s.span_id),
         )
 
-    def tree(self, *, modulo_pids: bool = True) -> list:
+    def tree(self) -> list:
         """Canonical nested ``(name, category, kind, children)`` forest.
 
         Timing- and id-free, so two recorders of the same run shape
-        compare equal regardless of backend; ``modulo_pids=False`` keeps
-        each span's pid in the tuple (serial vs process then differ
-        exactly in worker pids).
+        compare equal regardless of backend.
         """
 
         def build(parent: int | None) -> list:
-            nodes = []
-            for s in self.children(parent):
-                entry = (s.name, s.category, s.kind, build(s.span_id))
-                if not modulo_pids:
-                    entry = entry + (s.pid,)
-                nodes.append(entry)
+            nodes = [
+                (s.name, s.category, s.kind, build(s.span_id))
+                for s in self.children(parent)
+            ]
             return sorted(nodes, key=lambda n: (n[0], n[1]))
 
         return build(None)

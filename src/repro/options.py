@@ -4,13 +4,11 @@ Every layer spells the same concept the same way.  The canonical option
 set:
 
 ``engine=``
-    Shard-execution backend: ``"serial"`` | ``"thread"`` | ``"process"``
-    or a ready-made :class:`~repro.exec.engine.ExecutionEngine`.
-    Accepted by ``WarpDriveHashTable`` (decides shared-memory slot
-    backing), ``DistributedHashTable``, and
-    ``PartitionedWarpDriveTable``.
+    Shard-execution backend: ``"serial"`` | ``"thread"`` or a
+    ready-made :class:`~repro.exec.engine.ExecutionEngine`.  Accepted
+    by ``DistributedHashTable`` and ``PartitionedWarpDriveTable``.
 ``workers=``
-    Pool size for the thread/process engines.
+    Pool size for the thread engine.
 ``distribution=``
     Host distribution path: ``"fused"`` | ``"reference"``
     (``DistributedHashTable``).
@@ -24,7 +22,7 @@ set:
     constructor option (``"fast"`` | ``"compiled"``) on
     ``DistributedHashTable`` and ``PartitionedWarpDriveTable``, where
     it selects the shard-kernel backend that execution engines resolve
-    per worker process.
+    when each shard task runs.
 ``measure=``
     Attach measured wall-clock timelines (``AsyncCascadeDriver``).
 ``depth=``

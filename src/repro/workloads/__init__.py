@@ -16,13 +16,7 @@ from .kmers import (
     pcie_amplification,
     random_dna,
 )
-from .serving import (
-    ServingOp,
-    ServingWorkload,
-    serving_workload,
-    serving_zipf_keys,
-    universe_key_map,
-)
+from .serving import serving_zipf_keys, universe_key_map
 from .patches import (
     extract_patches,
     patch_amplification,
@@ -40,9 +34,6 @@ __all__ = [
     "make_distribution",
     "Batch",
     "BatchStream",
-    "ServingOp",
-    "ServingWorkload",
-    "serving_workload",
     "serving_zipf_keys",
     "universe_key_map",
     "random_dna",

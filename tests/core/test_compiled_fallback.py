@@ -159,8 +159,8 @@ class TestFallbackResults:
                 t.free()
 
     def test_worker_resolves_independently(self, no_provider):
-        """Engines re-resolve in the executing process; the result must
-        say what actually ran."""
+        """Engines resolve the backend when the task runs; the result
+        must say what actually ran."""
         keys = unique_keys(400, seed=9)
         with create_engine("serial") as eng:
             table = WarpDriveHashTable(800, group_size=4)
@@ -172,7 +172,6 @@ class TestFallbackResults:
                     seq=table.seq,
                     keys=keys,
                     values=keys,
-                    shm=table.shm_descriptor(),
                     kernels="compiled",
                 )
                 with pytest.warns(RuntimeWarning, match="falling back"):

@@ -132,17 +132,6 @@ class TestExplicitGrow:
         v, f = t.query(keys)
         assert f.all()
 
-    def test_shared_table_reallocates_segment(self):
-        t = WarpDriveHashTable(64, shared=True)
-        name_before = t.shm_descriptor().name
-        keys = unique_keys(30, seed=8)
-        t.insert(keys, keys)
-        t.grow(256)
-        desc = t.shm_descriptor()
-        assert desc is not None and desc.name != name_before
-        assert desc.capacity == 256
-        t.free()
-
     def test_device_vram_accounting_follows_grow(self):
         from repro.perfmodel.specs import P100
         from repro.simt.device import Device
@@ -280,23 +269,6 @@ class TestPartitionedGrowth:
         assert sum(s.grows for s in t.subtables) >= 1
         v, f = t.query(keys)
         assert f.all() and (v == values).all()
-        t.free()
-
-    @pytest.mark.slow
-    def test_four_x_ingest_process_engine(self):
-        t = PartitionedWarpDriveTable(
-            256,
-            max_partition_bytes=512,
-            engine="process",
-            workers=2,
-            growth=GrowthPolicy(max_load=0.9),
-        )
-        keys = unique_keys(1024, seed=21)
-        for chunk in np.array_split(keys, 8):
-            t.insert(chunk, chunk)
-        assert sum(s.grows for s in t.subtables) >= 1
-        v, f = t.query(keys)
-        assert f.all() and (v == keys).all()
         t.free()
 
     def test_explicit_grow(self):

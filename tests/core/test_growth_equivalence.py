@@ -6,7 +6,7 @@ kernels, so a table grown c0 → c1 must be *bit-identical* — same slot
 array, same query results — to a fresh table built at c1 with the same
 family and fed the same history.  These property tests enforce that
 across |g| ∈ {1, 4, 32}, both storage layouts, tombstone-heavy
-histories, and the serial/thread/process shard engines.
+histories, and the serial/thread shard engines.
 """
 
 from __future__ import annotations
@@ -150,14 +150,12 @@ class TestGrownEqualsFresh:
 class TestEngineVariants:
     """Growth under each shard-execution engine ends in the same state."""
 
-    def _ingest(self, engine, workers=None):
-        kwargs = {"workers": workers} if workers else {}
+    def _ingest(self, engine):
         t = PartitionedWarpDriveTable(
             256,
             max_partition_bytes=512,
             engine=engine,
             growth=GrowthPolicy(max_load=0.9),
-            **kwargs,
         )
         keys = unique_keys(900, seed=77)
         values = random_values(900, seed=78)
@@ -178,7 +176,3 @@ class TestEngineVariants:
 
     def test_serial_equals_thread(self):
         assert self._ingest("serial") == self._ingest("thread")
-
-    @pytest.mark.slow
-    def test_serial_equals_process(self):
-        assert self._ingest("serial") == self._ingest("process", workers=2)

@@ -19,7 +19,6 @@ from repro.core.store import (
     PackedSlotStore,
     SoAPackedView,
     SplitSlotStore,
-    attach_view,
     compact_slot_bits,
     make_store,
     slot_record_bytes,
@@ -255,41 +254,6 @@ class TestLayoutEquivalence:
         assert (np.asarray(dst.view) == np.asarray(src.view)).all()
 
 
-class TestSharedAttach:
-    @pytest.mark.parametrize("layout", STORE_LAYOUTS)
-    def test_attach_view_sees_parent_writes(self, layout):
-        store = make_store(32, layout=layout, shared=True)
-        desc = store.descriptor()
-        assert desc is not None and desc.layout == layout
-        word = np.uint64((123 << 32) | 456)
-        store.view[7] = word
-        view, segment = attach_view(desc)
-        try:
-            assert np.uint64(view[7]) == word
-            # and the other direction: worker writes, parent reads
-            view[9] = np.uint64((1 << 32) | 2)
-            assert np.uint64(store.view[9]) == np.uint64((1 << 32) | 2)
-        finally:
-            del view
-            segment.close()
-            store.free()
-
-    def test_private_store_has_no_descriptor(self):
-        assert make_store(16).descriptor() is None
-
-    def test_attach_rejects_unknown_layout(self):
-        store = make_store(16, shared=True)
-        desc = store.descriptor()
-        try:
-            from dataclasses import replace
-
-            bad = replace(desc, layout="columnar")
-            with pytest.raises(ConfigurationError, match="layout"):
-                attach_view(bad)
-        finally:
-            store.free()
-
-
 class TestSanitizerIntegration:
     @pytest.mark.parametrize("layout", STORE_LAYOUTS)
     def test_view_carries_sanitizer(self, layout):
@@ -318,8 +282,7 @@ class TestSanitizerIntegration:
 class TestFree:
     @pytest.mark.parametrize("layout", STORE_LAYOUTS)
     def test_free_releases_and_empties(self, layout):
-        store = make_store(32, layout=layout, shared=True)
+        store = make_store(32, layout=layout)
         store.free()
         assert len(store.view) == 0
-        assert store.descriptor() is None
         store.free()  # idempotent

@@ -2,33 +2,33 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.config import HashTableConfig
 from repro.core.report import KernelReport
 from repro.core.table import WarpDriveHashTable
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ConfigurationError
 from repro.exec import (
     MeasuredTimeline,
-    ProcessEngine,
     SerialEngine,
     ShardKernelTask,
     ShardSpan,
-    SharedSlots,
     ThreadEngine,
-    WorkerError,
-    WorkerPool,
-    attach_slots,
     available_backends,
     create_engine,
 )
+from repro.multigpu.distributed_table import DistributedHashTable
+from repro.multigpu.topology import p100_nvlink_node
+from repro.pipeline.driver import AsyncCascadeDriver
 from repro.workloads import random_values, unique_keys
 
 
-def _table(n: int, *, shared: bool = False) -> WarpDriveHashTable:
+def _table(n: int) -> WarpDriveHashTable:
     config = HashTableConfig.for_load_factor(n, 0.9, group_size=4)
-    return WarpDriveHashTable(config=config, shared=shared)
+    return WarpDriveHashTable(config=config)
 
 
 def _tasks(tables, keys, values) -> list[ShardKernelTask]:
@@ -40,7 +40,6 @@ def _tasks(tables, keys, values) -> list[ShardKernelTask]:
             seq=t.seq,
             keys=keys[i],
             values=values[i],
-            shm=t.shm_descriptor(),
         )
         for i, t in enumerate(tables)
     ]
@@ -48,7 +47,7 @@ def _tasks(tables, keys, values) -> list[ShardKernelTask]:
 
 class TestRegistry:
     def test_backends_listed(self):
-        assert available_backends() == ("serial", "thread", "process")
+        assert available_backends() == ("serial", "thread")
 
     def test_create_by_name(self):
         with create_engine("serial") as eng:
@@ -62,8 +61,13 @@ class TestRegistry:
         assert create_engine(eng) is eng
 
     def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            create_engine("cuda")
+        # "process" is the retired worker-process backend
+        for name in ("cuda", "process"):
+            with pytest.raises(
+                ConfigurationError,
+                match=r"unknown engine .*\['serial', 'thread'\]",
+            ):
+                create_engine(name)
 
     def test_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
@@ -156,85 +160,6 @@ class TestMetrics:
         assert tl.makespan == 0.0
         assert tl.overlap_speedup == 0.0
         assert tl.render() == "(empty measured timeline)"
-
-
-class TestSharedSlots:
-    def test_roundtrip(self):
-        owner = SharedSlots(128)
-        try:
-            owner.array[:4] = [1, 2, 3, 4]
-            view, handle = attach_slots(owner.descriptor())
-            assert (view[:4] == [1, 2, 3, 4]).all()
-            view[0] = 99
-            assert owner.array[0] == 99
-            del view
-            handle.close()
-        finally:
-            owner.close()
-
-    def test_close_idempotent(self):
-        owner = SharedSlots(16)
-        owner.close()
-        owner.close()
-        assert owner.closed
-
-    def test_bad_dtype_rejected(self):
-        owner = SharedSlots(16)
-        try:
-            desc = owner.descriptor()
-            with pytest.raises(ConfigurationError):
-                attach_slots(type(desc)(desc.name, desc.capacity, dtype="int8"))
-        finally:
-            owner.close()
-
-
-def _boom(x):
-    raise ValueError(f"bad task {x}")
-
-
-def _double(x):
-    return 2 * x
-
-
-@pytest.mark.slow
-class TestWorkerPool:
-    def test_map_in_order(self):
-        with WorkerPool(workers=2) as pool:
-            assert pool.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
-
-    def test_exception_propagates_with_traceback(self):
-        with WorkerPool(workers=1) as pool:
-            with pytest.raises(WorkerError, match="bad task 7") as exc_info:
-                pool.map(_boom, [7])
-            assert "ValueError" in exc_info.value.remote_traceback
-
-
-@pytest.mark.slow
-class TestProcessEngine:
-    def test_requires_shared_slots(self):
-        table = _table(64, shared=False)
-        task = ShardKernelTask(
-            shard=0, op="insert", slots=table.slots, seq=table.seq,
-            keys=unique_keys(8, seed=1), values=random_values(8, seed=2),
-        )
-        with ProcessEngine(workers=1) as eng:
-            with pytest.raises(ExecutionError, match="shared-memory"):
-                eng.run([task])
-
-    def test_mutates_shared_table(self):
-        n = 1000
-        keys = unique_keys(n, seed=5)
-        values = random_values(n, seed=6)
-        table = _table(n, shared=True)
-        try:
-            with ProcessEngine(workers=1) as eng:
-                res = eng.run(_tasks([table], [keys], [values]))[0]
-                table.absorb_insert(keys, values, res.report, res.status)
-                got, found = table.query(keys)
-                assert found.all()
-                assert (got == values).all()
-        finally:
-            table.free()
 
 
 class TestReportHelpers:
@@ -363,3 +288,42 @@ class TestSubmitPoll:
         ran = trace(lambda eng, tasks: eng.run(tasks))
         submitted = trace(lambda eng, tasks: eng.submit(tasks).result())
         assert ran == submitted
+
+
+def _threads(*prefixes: str) -> set[threading.Thread]:
+    return {
+        t for t in threading.enumerate() if t.name.startswith(prefixes)
+    }
+
+
+class TestNoThreadLeak:
+    """Closing a table (and its driver) stops every thread it started."""
+
+    PREFIXES = ("repro-shard", "repro-stager")
+
+    def _table(self, keys) -> DistributedHashTable:
+        return DistributedHashTable.for_workload(
+            p100_nvlink_node(4), keys, 0.8, engine="thread", workers=2
+        )
+
+    def test_free_after_cascade_stops_shard_threads(self):
+        before = _threads(*self.PREFIXES)
+        keys = unique_keys(4000, seed=41)
+        table = self._table(keys)
+        table.insert(keys, keys, source="device")
+        assert _threads("repro-shard") - before  # the pool really ran
+        table.free()
+        assert not _threads(*self.PREFIXES) - before
+
+    def test_close_after_depth2_stream_stops_all_threads(self):
+        before = _threads(*self.PREFIXES)
+        keys = unique_keys(4000, seed=42)
+        table = self._table(keys)
+        driver = AsyncCascadeDriver(table, depth=2)
+        batches = np.array_split(keys, 4)
+        driver.insert_stream((b, b) for b in batches)
+        result = driver.query_stream(batches)
+        assert result.found.all()
+        driver.close()
+        table.free()
+        assert not _threads(*self.PREFIXES) - before

@@ -56,11 +56,10 @@ class TestDeviceBuffer:
         buf = DeviceBuffer.full(p100_device, 5, 7, dtype=np.uint64)
         assert (buf.array == 7).all()
 
-    def test_from_array_takes_footprint(self, p100_device):
-        arr = np.arange(16, dtype=np.uint32)
-        buf = DeviceBuffer.from_array(p100_device, arr)
+    def test_full_takes_footprint(self, p100_device):
+        buf = DeviceBuffer.full(p100_device, 16, 3, dtype=np.uint32)
         assert p100_device.allocated_bytes == 64
-        assert (buf.array == arr).all()
+        assert (buf.array == 3).all()
 
     def test_many_tables_exhaust_vram(self):
         """A card fits two ~40% tables but not three (proportional to the

@@ -25,18 +25,18 @@ class TestKindInference:
         assert (dev.array == host.array).all()
 
     def test_d2h(self, devices):
-        dev = DeviceBuffer.from_array(devices[0], np.arange(4, dtype=np.uint64))
+        dev = DeviceBuffer.full(devices[0], 4, 7)
         host = HostBuffer.zeros(4)
         assert memcpy(host, dev).kind is MemcpyKind.D2H
         assert (host.array == dev.array).all()
 
     def test_d2d_same_gpu(self, devices):
-        a = DeviceBuffer.from_array(devices[0], np.arange(4, dtype=np.uint64))
+        a = DeviceBuffer.full(devices[0], 4, 7)
         b = DeviceBuffer.zeros(devices[0], 4)
         assert memcpy(b, a).kind is MemcpyKind.D2D
 
     def test_p2p_across_gpus(self, devices):
-        a = DeviceBuffer.from_array(devices[0], np.arange(4, dtype=np.uint64))
+        a = DeviceBuffer.full(devices[0], 4, 7)
         b = DeviceBuffer.zeros(devices[1], 4)
         rec = memcpy(b, a)
         assert rec.kind is MemcpyKind.P2P
@@ -91,7 +91,7 @@ class TestTransferLog:
 
     def test_p2p_matrix(self, devices):
         log = TransferLog()
-        a = DeviceBuffer.from_array(devices[0], np.arange(4, dtype=np.uint64))
+        a = DeviceBuffer.full(devices[0], 4, 7)
         b = DeviceBuffer.zeros(devices[1], 4)
         memcpy(b, a, log=log)
         mat = log.p2p_matrix(2)

@@ -17,8 +17,12 @@ KEYS = np.arange(4, dtype=np.uint32)
 #: every spelling the removed warn-once shims used to translate:
 #: ``executor=`` (now ``engine=`` on constructors, ``kernels=`` on bulk
 #: methods), ``wall_clock=`` (now ``measure=``), and the positional
-#: topology of ``DistributedHashTable`` (now ``topology=``)
+#: topology of ``DistributedHashTable`` (now ``topology=``); plus the
+#: single-table storage hints ``engine=``/``shared=``, which only chose
+#: the shared-memory slot backing of the retired process engine
 RETIRED_SPELLINGS = {
+    "table_engine": lambda: WarpDriveHashTable(64, engine="serial"),
+    "table_shared": lambda: WarpDriveHashTable(64, shared=True),
     "table_insert_executor": lambda: WarpDriveHashTable(64).insert(
         KEYS, KEYS, executor="fast"
     ),
@@ -73,15 +77,6 @@ class TestShims:
         t = WarpDriveHashTable(64)
         with pytest.raises(TypeError):
             t.insert(KEYS, KEYS, bogus=1)
-
-    def test_table_engine_option_means_shared_storage(self):
-        t = WarpDriveHashTable(64, engine="process")
-        try:
-            assert t.shm_descriptor() is not None
-        finally:
-            t.free()
-        t = WarpDriveHashTable(64, engine="serial")
-        assert t.shm_descriptor() is None
 
     def test_driver_rejects_conflicting_spellings(self):
         node = p100_nvlink_node(2)

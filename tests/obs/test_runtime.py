@@ -1,11 +1,8 @@
 """The global obs switch: zero-overhead when off, scoped sessions,
-backend-independent span trees (serial == thread == process modulo pids).
+backend-independent span trees (serial == thread).
 """
 
-import os
-
 import numpy as np
-import pytest
 
 from repro import obs
 from repro.multigpu.distributed_table import DistributedHashTable
@@ -134,16 +131,3 @@ class TestBackendEquivalence:
         serial, _ = _traced_cascade("serial")
         thread, _ = _traced_cascade("thread", workers=2)
         assert serial.tree() == thread.tree()
-
-    @pytest.mark.slow
-    def test_serial_vs_process_tree_modulo_pids(self):
-        serial, _ = _traced_cascade("serial")
-        process, _ = _traced_cascade("process", workers=2)
-        assert serial.tree() == process.tree()
-        # the process trace carries real worker pids, foreign to ours
-        worker_pids = {
-            s.pid
-            for s in process.spans
-            if "shard" in s.name and s.category == "kernel"
-        }
-        assert worker_pids and worker_pids != {os.getpid()}

@@ -92,7 +92,6 @@ class TestTree:
                     [ShardSpan(0, "insert", 0.0, 1.0, pid=pid)]
                 )
         assert a.tree() == b.tree()
-        assert a.tree(modulo_pids=False) != b.tree(modulo_pids=False)
 
     def test_makespan_and_categories(self):
         rec = TraceRecorder()

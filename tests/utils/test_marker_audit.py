@@ -64,7 +64,7 @@ def _floor_requires(*globs: str) -> None:
 
 
 def _slow_marked(fragment: str, *names: str) -> None:
-    """An expensive test (worker pools, 2^22 ingests, 2^17-slot shards)
+    """An expensive test (client processes, 2^22 ingests, 2^17-slot shards)
     whose name contains ``fragment`` carries the registered ``slow``
     marker, so it stays out of tier-1."""
     for name in names:
@@ -144,10 +144,6 @@ class TestObsTree:
         present = {p.name for p in (TESTS / "obs").glob("test_*.py")}
         assert self.EXPECTED <= present
 
-    def test_process_backend_equivalence_is_slow_marked(self):
-        """Worker-pool spin-up is the one expensive obs test."""
-        _slow_marked("process", "obs/test_runtime.py")
-
     def test_obs_tests_avoid_global_obs_leakage(self):
         """obs state is process-global: tests must scope it through
         `obs.session()` / `configure(...)` teardown, never leave it on."""
@@ -173,10 +169,6 @@ TREE_AUDIT = {
             _floor_requires, "tests/core/test_growth*.py",
             "tests/multigpu/test_distributed_growth*.py",
         ),
-        "test_process_engine_growth_is_slow_marked": (
-            _slow_marked, "process", "core/test_growth.py",
-            "core/test_growth_equivalence.py",
-        ),
         "test_growth_property_tests_use_shared_profiles": (
             _shared_profiles, "core/test_growth_equivalence.py",
         ),
@@ -193,9 +185,6 @@ TREE_AUDIT = {
             "tests/exec/test_compiled_equivalence*.py",
         ),
         "test_legs_pin_cc_and_fallback": (_legs_pin_cc_and_fallback,),
-        "test_process_engine_equivalence_is_slow_marked": (
-            _slow_marked, "process", "exec/test_compiled_equivalence.py",
-        ),
         "test_compiled_property_tests_use_shared_profiles": (
             _shared_profiles, "core/test_compiled_kernels.py",
             "exec/test_compiled_equivalence.py",

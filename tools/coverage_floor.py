@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     sys.path.insert(0, str(SRC))
-    # subprocess-driven tests (examples, process backend) also need src
+    # subprocess-driven tests (examples, client processes) also need src
     import os
 
     existing = os.environ.get("PYTHONPATH", "")
