@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src
 
-.PHONY: test cov fuzz-smoke racecheck fuzz-full
+.PHONY: test cov lint fuzz-smoke racecheck fuzz-full
 
 # tier-1: fast suite, excludes `slow` and `fuzz` via pyproject addopts;
 # the one correctness gate for every feature
@@ -13,7 +13,13 @@ test:
 cov:
 	$(PYTHON) tools/coverage_floor.py --list
 
-# 60-second differential fuzz pass plus the fuzz-marked test battery
+# unused imports, stdlib `ast` only (pyflakes/ruff are not in the image)
+lint:
+	$(PYTHON) tools/unused_imports.py
+
+# 60-second differential fuzz pass plus the fuzz-marked test battery,
+# which replays the committed corpus; only a failure (with its shrunk
+# form) is written back to the corpus, so a clean run leaves it as is
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --budget 60s --corpus tests/fuzz/corpus.json
 	$(PYTHON) -m pytest tests/fuzz -m fuzz

@@ -7,7 +7,6 @@ monolithic 8 GB table (CAS degraded) and against its partitioned
 equivalent (each sub-table under the knee).
 """
 
-import numpy as np
 from conftest import record
 
 from repro.core.table import WarpDriveHashTable

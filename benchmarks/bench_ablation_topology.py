@@ -7,7 +7,6 @@ whose peer-to-peer traffic rides PCIe (~10 GB/s shared lanes), isolating
 what the interconnect itself buys the transposition step.
 """
 
-import numpy as np
 from conftest import record
 
 from repro.multigpu.distributed_table import DistributedHashTable

@@ -7,7 +7,6 @@ its cumulative modelled insert time must track the best *single* fixed
 of time.
 """
 
-import numpy as np
 from conftest import record
 
 from repro.constants import VALID_GROUP_SIZES

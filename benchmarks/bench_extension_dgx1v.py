@@ -10,7 +10,6 @@ all-to-all traffic), but the aggregate insert rate keeps growing —
 sharding remains worthwhile on the bigger node.
 """
 
-import numpy as np
 from conftest import record
 
 from repro.core.table import WarpDriveHashTable

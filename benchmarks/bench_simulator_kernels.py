@@ -5,7 +5,6 @@ regressions in the vectorized executors show up.  They are the targets
 pytest-benchmark actually times across rounds.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.table import WarpDriveHashTable

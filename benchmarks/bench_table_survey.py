@@ -7,7 +7,6 @@ the Folklore CPU baseline [10], all building and querying the same 2^15
 unique pairs at α = 0.9.
 """
 
-import numpy as np
 from conftest import record
 
 from repro.baselines import (

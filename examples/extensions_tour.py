@@ -26,10 +26,9 @@ from repro.core import (
 from repro.core.serialize import load_table, save_table
 from repro.multigpu import DistributedHashTable, p100_nvlink_node
 from repro.perfmodel import calibration as cal
-from repro.perfmodel.memmodel import cas_degradation, projected_seconds, throughput
-from repro.perfmodel.specs import P100
+from repro.perfmodel.memmodel import cas_degradation
 from repro.pipeline import AsyncCascadeDriver
-from repro.workloads import BatchStream, random_values, unique_keys, zipf_keys
+from repro.workloads import BatchStream, unique_keys, zipf_keys
 
 N = 1 << 15
 

@@ -9,8 +9,6 @@ ASCII Gantt chart of the overlapped pipeline.
 Run:  python examples/multi_gpu_scaling.py
 """
 
-import numpy as np
-
 from repro.multigpu import DistributedHashTable, p100_nvlink_node
 from repro.perfmodel import throughput, time_cascade
 from repro.pipeline import insert_stages, overlap_improvement, schedule_batches

@@ -301,8 +301,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
     import json as jsonlib
     import time as timelib
 
-    import numpy as np
-
     from repro.serve import KVClient
     from repro.workloads import random_values, serving_zipf_keys, universe_key_map
 
@@ -430,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.002,
-        help="seconds the coalescer waits to merge requests",
+        help="upper bound, in seconds, on the coalescer's wait to merge "
+        "requests (a batch starts once every connection is in)",
     )
     serve.set_defaults(fn=_cmd_serve)
 
@@ -522,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--corpus", default="tests/fuzz/corpus.json",
-        help="seed-corpus JSON to append to (replayable regressions)",
+        help="seed-corpus JSON that failures are appended to (replayable)",
     )
     fuzz.add_argument(
         "--no-shrink", action="store_true", help="skip failure shrinking"

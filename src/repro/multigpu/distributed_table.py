@@ -53,7 +53,6 @@ from .multisplit import (
 )
 from .partition_table import PartitionTable
 from .plan import CascadePlan, PlanCache, chunk_slices
-from .topology import Topology
 from .topology import topology as build_topology
 
 __all__ = ["CascadeReport", "DistributedHashTable", "StagedCascade"]

@@ -563,13 +563,13 @@ def run_fuzz(
 ) -> FuzzRunResult:
     """Fuzz until the time budget or case cap runs out.
 
-    Passing seeds are appended to the corpus (as replayable regression
-    entries) alongside every failure and its shrunk form.
+    Every failure and its shrunk form is appended to the corpus for
+    replay.  Passing seeds are not recorded, so a clean run leaves the
+    corpus file untouched.
     """
     if budget_seconds is None and max_cases is None:
         max_cases = 25
     result = FuzzRunResult()
-    corpus = load_corpus(corpus_path) if corpus_path is not None else None
     t0 = time.perf_counter()
 
     def _one(case: FuzzCase) -> None:
@@ -581,17 +581,6 @@ def run_fuzz(
             result.failures.append(failure)
             if log is not None:
                 log(failure.message())
-        if corpus is not None:
-            entry = {"case": case.to_dict(), "status": "ok"}
-            if failure is not None:
-                entry["status"] = "fail"
-                entry["check"] = failure.check
-                entry["detail"] = failure.detail
-                if failure.shrunk is not None:
-                    entry["shrunk"] = failure.shrunk.to_dict()
-                if inject is not None:
-                    entry["inject"] = inject
-            corpus["entries"].append(entry)
 
     def _loop() -> None:
         seed = start_seed
@@ -617,7 +606,20 @@ def run_fuzz(
         _loop()
 
     result.elapsed = time.perf_counter() - t0
-    if corpus is not None and corpus_path is not None:
+    if corpus_path is not None and result.failures:
+        corpus = load_corpus(corpus_path)
+        for failure in result.failures:
+            entry = {
+                "case": failure.case.to_dict(),
+                "status": "fail",
+                "check": failure.check,
+                "detail": failure.detail,
+            }
+            if failure.shrunk is not None:
+                entry["shrunk"] = failure.shrunk.to_dict()
+            if inject is not None:
+                entry["inject"] = inject
+            corpus["entries"].append(entry)
         _save_corpus(corpus_path, corpus)
         result.corpus_path = str(corpus_path)
     return result

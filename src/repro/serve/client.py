@@ -1,17 +1,10 @@
-"""Partition-aware KV client for the serving layer.
+"""KV client for the serving layer.
 
 A :class:`KVClient` speaks the :mod:`repro.serve.protocol` framing over
-a unix or TCP socket.  At HELLO time it learns the server's GPU count
-and reconstructs the same deterministic
-:func:`~repro.hashing.partition.hashed_partition` the table uses — so a
-batch can be **pre-split by shard** before it ever hits the wire.  Each
-shard-run then arrives at the server as its own frame, and the server's
-coalescer can merge same-shard runs from many clients into cascades
-whose multisplit phase finds mostly-presorted input (the client does
-the multisplit's work early, exactly like DGL's partition-book clients
-pushing to the owning server).  Results are re-assembled into the
-caller's original order via the inverse permutation, so pre-splitting
-is invisible to correctness.
+a unix or TCP socket.  Each request goes out as one frame per
+``MAX_BATCH`` keys, in caller order; the server's coalescer merges
+frames from many clients into one cascade, and the table's own
+multisplit routes every key to its shard.
 
 Replies are matched by ``request_id``, *not* arrival order: the server
 rejects over-budget frames immediately from the reader thread while
@@ -33,7 +26,6 @@ import time
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..hashing.partition import hashed_partition
 from ..utils.validation import check_keys, check_same_length, check_values
 from .protocol import (
     ErrorCode,
@@ -71,11 +63,6 @@ class KVClient:
         Client identity sent in HELLO; re-HELLOs under the same name
         count as ``serve.reconnect`` on the server.  Auto-generated
         when omitted.
-    presplit:
-        Split batches into per-shard frames using the server's
-        partition policy (default).  ``False`` sends one frame per
-        ``MAX_BATCH`` chunk in caller order — the protocol works either
-        way; pre-splitting just feeds the coalescer shard-pure runs.
     retry_overloaded:
         How many times to retry a frame the server rejected with
         ``OVERLOADED``, with exponential backoff starting at
@@ -90,7 +77,6 @@ class KVClient:
         address,
         *,
         name: str | None = None,
-        presplit: bool = True,
         retry_overloaded: int = 0,
         backoff: float = 0.005,
         timeout: float = 30.0,
@@ -105,7 +91,6 @@ class KVClient:
             if name is not None
             else f"client-{next(_client_counter)}"
         )
-        self.presplit = bool(presplit)
         self.retry_overloaded = int(retry_overloaded)
         self.backoff = float(backoff)
         self.timeout = float(timeout)
@@ -113,7 +98,6 @@ class KVClient:
         self._request_ids = itertools.count(1)
         self.num_gpus = 0
         self.server_cache_enabled = False
-        self._partition = None
         self.connects = 0
         self._connect()
 
@@ -146,7 +130,6 @@ class KVClient:
         self.num_gpus, self.server_cache_enabled = decode_hello_reply(
             reply.payload
         )
-        self._partition = hashed_partition(self.num_gpus)
 
     def reconnect(self) -> None:
         """Tear down the socket and re-HELLO (the fault-recovery path)."""
@@ -232,34 +215,14 @@ class KVClient:
 
     # -- batch splitting ------------------------------------------------------
 
-    def _split(self, keys: np.ndarray) -> list[np.ndarray]:
-        """Index arrays, one per wire frame, covering ``keys`` exactly.
-
-        With ``presplit`` the batch is stably grouped by owning shard
-        (so each frame is shard-pure); either way no frame exceeds
-        ``MAX_BATCH`` keys.
-        """
+    def _split(self, keys: np.ndarray) -> list[slice]:
+        """Slices, one per wire frame of at most ``MAX_BATCH`` keys,
+        covering ``keys`` in caller order."""
         n = int(keys.shape[0])
-        if n == 0:
-            return [np.empty(0, dtype=np.int64)]
-        if self.presplit and self.num_gpus > 1:
-            parts = self._partition(keys)
-            order = np.argsort(parts, kind="stable")
-            boundaries = np.searchsorted(
-                parts[order], np.arange(1, self.num_gpus)
-            )
-            runs = [
-                run
-                for run in np.split(order, boundaries)
-                if run.size
-            ]
-        else:
-            runs = [np.arange(n, dtype=np.int64)]
-        chunks: list[np.ndarray] = []
-        for run in runs:
-            for start in range(0, run.size, MAX_BATCH):
-                chunks.append(run[start : start + MAX_BATCH])
-        return chunks
+        return [
+            slice(start, start + MAX_BATCH)
+            for start in range(0, max(n, 1), MAX_BATCH)
+        ]
 
     # -- operations -----------------------------------------------------------
 

@@ -11,11 +11,13 @@ One :class:`KVServer` fronts one
   the frame is rejected with a typed ``OVERLOADED`` error instead of
   queueing unboundedly, and ``serve.rejected`` counts it;
 * a single **coalescer** thread drains admitted requests and merges
-  runs of same-op frames — across clients — into one cascade, bounded
-  by a batch window (seconds) and a max-batch key count.  All table
-  access happens on this thread, so the executed-batch sequence is a
-  total order: the op log it appends to replays serially to a
-  bit-identical table (the soak-test contract).
+  runs of same-op frames — across clients — into one cascade.  A group
+  closes as soon as every live connection has a frame in it (a
+  closed-loop client sends nothing more until it is answered), else
+  when the batch window (seconds) runs out or the max-batch key count
+  is reached.  All table access happens on this thread, so the
+  executed-batch sequence is a total order: the op log it appends to
+  replays serially to a bit-identical table (the soak-test contract).
 
 Retrieval batches consult the :class:`~repro.serve.cache.HotKeyCache`
 **on the coalescer thread**, once per merged batch: a single vectorized
@@ -32,7 +34,8 @@ query linearizes individually at its read point inside the batch —
 batched gets are N independent reads, not a snapshot.  Inserts and
 erases invalidate the touched keys *before* their replies are sent, so
 no client can observe a stale cached value after any acknowledged
-mutation.
+mutation.  Counters and the admission budget settle before the replies
+go out too, so a client holding its answer reads current stats.
 
 A malformed *header* desynchronizes the byte stream, so the server
 answers with a typed error frame and closes that connection; a
@@ -45,7 +48,6 @@ from __future__ import annotations
 import json
 import queue
 import socket
-import struct
 import tempfile
 import threading
 import time
@@ -84,6 +86,9 @@ __all__ = ["ServerStats", "KVServer"]
 #: ops that carry data through the admission queue
 _DATA_OPS = {FrameType.INSERT: "insert", FrameType.QUERY: "query",
              FrameType.ERASE: "erase"}
+_REPLY_TYPES = {"insert": FrameType.INSERT_REPLY,
+                "query": FrameType.QUERY_REPLY,
+                "erase": FrameType.ERASE_REPLY}
 
 
 class ServerStats:
@@ -151,6 +156,17 @@ class _Pending:
     enqueued_at: float = field(default_factory=time.perf_counter)
 
 
+def _reply(pending: _Pending, values, found, part: slice) -> Frame:
+    """The reply frame for one request: its ``part`` of the batch result."""
+    if pending.op == "insert":
+        payload = encode_insert_reply(int(pending.keys.size))
+    elif pending.op == "query":
+        payload = encode_query_reply(values[part], found[part])
+    else:
+        payload = encode_erase_reply(found[part])
+    return Frame(_REPLY_TYPES[pending.op], pending.request_id, payload)
+
+
 class KVServer:
     """Socket front-end over a distributed hash table.
 
@@ -169,14 +185,17 @@ class KVServer:
     cache_size, promote_after:
         Forwarded to :class:`HotKeyCache`.
     batch_window:
-        Seconds the coalescer waits for same-op follow-up frames before
-        a partially filled batch executes.
+        Upper bound, in seconds, on how long the coalescer waits for
+        same-op follow-up frames.  A group stops waiting as soon as
+        every live connection has a frame in it, so the window only
+        runs out when some connection stays silent.
     max_batch:
         Key ceiling per coalesced cascade (admission control's unit of
         work; also bounds a cascade's staging footprint).
     admission_bytes:
         The :class:`StagingBudget` ceiling for admitted-but-unexecuted
-        request bytes.  Saturation rejects with ``OVERLOADED``.
+        request bytes.  Saturation rejects with ``OVERLOADED``; a frame
+        larger than the whole budget is rejected with ``TOO_LARGE``.
     oplog:
         Record every executed mutation batch (op, keys, values) in
         execution order — the soak test's serial-replay source.
@@ -465,18 +484,31 @@ class KVServer:
             self._reject(conn, frame.request_id, exc.code, str(exc))
             return True
         nbytes = len(frame.payload)
+        pending = _Pending(
+            conn, op, frame.request_id, keys, values, default, nbytes
+        )
         if keys.size == 0:
             # empty batches short-circuit: legal, but no cascade to join
-            self._send_reply(
-                _Pending(conn, op, frame.request_id, keys, values, default, 0),
-                np.empty(0, dtype=np.uint32),
-                np.empty(0, dtype=bool),
-            )
+            empty = np.empty(0, dtype=np.uint32)
+            conn.send(_reply(pending, empty, empty.astype(bool), slice(0)))
             return True
         if self._stop.is_set():
             self._reject(
                 conn, frame.request_id, ErrorCode.SHUTTING_DOWN,
                 "server is draining",
+            )
+            return True
+        if nbytes > self.budget.total_bytes:
+            # retrying cannot help: this frame never fits the budget
+            self.stats.inc("serve.rejected")
+            self.stats.inc("serve.rejected.too_large")
+            self._reject(
+                conn,
+                frame.request_id,
+                ErrorCode.TOO_LARGE,
+                f"request of {nbytes} B can never fit the "
+                f"{self.budget.total_bytes} B admission budget; "
+                f"send smaller batches",
             )
             return True
         if not self.budget.try_acquire(nbytes):
@@ -490,9 +522,7 @@ class KVServer:
                 f"({self.budget.in_flight_bytes} B in flight)",
             )
             return True
-        self._queue.put(
-            _Pending(conn, op, frame.request_id, keys, values, default, nbytes)
-        )
+        self._queue.put(pending)
         return True
 
     def _reject(
@@ -517,12 +547,16 @@ class KVServer:
                         return
                     continue
             group = [item]
+            conns = {item.conn}
             total = int(item.keys.size)
             deadline = time.perf_counter() + self.batch_window
             while total < self.max_batch:
-                timeout = deadline - time.perf_counter()
-                if timeout <= 0:
-                    break
+                if len(conns) >= len(self._conns):
+                    # every live connection is in: nothing new can join,
+                    # so take only what is already queued
+                    timeout = 0.0
+                else:
+                    timeout = max(deadline - time.perf_counter(), 0.0)
                 try:
                     nxt = self._queue.get(timeout=timeout)
                 except queue.Empty:
@@ -534,10 +568,12 @@ class KVServer:
                     holdover = nxt
                     break
                 group.append(nxt)
+                conns.add(nxt.conn)
                 total += int(nxt.keys.size)
             self._execute(group)
 
     def _execute(self, group: list[_Pending]) -> None:
+        """Run one merged cascade, settle stats and budget, then reply."""
         op = group[0].op
         total = sum(int(p.keys.size) for p in group)
         clients = sorted({p.conn.name for p in group})
@@ -551,11 +587,28 @@ class KVServer:
                 clients=len(clients),
             ):
                 if op == "insert":
-                    self._execute_insert(group)
+                    values, found = self._execute_insert(group)
                 elif op == "query":
-                    self._execute_query(group)
+                    values, found = self._execute_query(group)
                 else:
-                    self._execute_erase(group)
+                    values, found = self._execute_erase(group)
+                replies, offset = [], 0
+                for pending in group:
+                    part = slice(offset, offset + int(pending.keys.size))
+                    replies.append(_reply(pending, values, found, part))
+                    offset = part.stop
+        except ReproError as exc:
+            # typed reply per caller; the cascade entry points validate
+            # before mutating, so the table stays consistent
+            self.stats.inc("serve.errors")
+            message = encode_error(
+                ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
+            )
+            replies = [
+                Frame(FrameType.ERROR, pending.request_id, message)
+                for pending in group
+            ]
+        else:
             self.stats.inc("serve.batches")
             self.stats.inc(f"serve.ops.{op}", total)
             self.stats.inc("serve.coalesced_requests", len(group))
@@ -564,23 +617,14 @@ class KVServer:
                     f"serve.client.{pending.conn.name}.ops",
                     int(pending.keys.size),
                 )
-        except ReproError as exc:
-            # typed reply per caller; the cascade entry points validate
-            # before mutating, so the table stays consistent
-            self.stats.inc("serve.errors")
-            for pending in group:
-                self._reject(
-                    pending.conn,
-                    pending.request_id,
-                    ErrorCode.INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                )
         finally:
             for pending in group:
                 if pending.nbytes:
                     self.budget.release(pending.nbytes)
+        for pending, reply in zip(group, replies):
+            pending.conn.send(reply)
 
-    def _execute_insert(self, group: list[_Pending]) -> None:
+    def _execute_insert(self, group: list[_Pending]) -> tuple[None, None]:
         keys = np.concatenate([p.keys for p in group])
         values = np.concatenate([p.values for p in group])
         self.table.insert(keys, values, source="host")
@@ -588,35 +632,20 @@ class KVServer:
             self.cache.invalidate(keys)
         if self.oplog is not None:
             self.oplog.append(("insert", keys, values))
-        for pending in group:
-            pending.conn.send(
-                Frame(
-                    FrameType.INSERT_REPLY,
-                    pending.request_id,
-                    encode_insert_reply(int(pending.keys.size)),
-                )
-            )
+        return None, None
 
-    def _execute_erase(self, group: list[_Pending]) -> None:
+    def _execute_erase(self, group: list[_Pending]) -> tuple[None, np.ndarray]:
         keys = np.concatenate([p.keys for p in group])
         erased, _report = self.table.erase(keys, source="host")
         if self.cache is not None:
             self.cache.invalidate(keys)
         if self.oplog is not None:
             self.oplog.append(("erase", keys, None))
-        offset = 0
-        for pending in group:
-            n = int(pending.keys.size)
-            pending.conn.send(
-                Frame(
-                    FrameType.ERASE_REPLY,
-                    pending.request_id,
-                    encode_erase_reply(erased[offset : offset + n]),
-                )
-            )
-            offset += n
+        return None, erased
 
-    def _execute_query(self, group: list[_Pending]) -> None:
+    def _execute_query(
+        self, group: list[_Pending]
+    ) -> tuple[np.ndarray, np.ndarray]:
         keys = np.concatenate([p.keys for p in group])
         defaults = np.concatenate(
             [np.full(p.keys.size, p.default, dtype=np.uint32) for p in group]
@@ -643,22 +672,8 @@ class KVServer:
                 values[miss] = miss_values
                 found = hit_mask
                 found[miss] = miss_found
-        else:
-            values, found = self._query_table(keys, defaults)
-        offset = 0
-        for pending in group:
-            n = int(pending.keys.size)
-            pending.conn.send(
-                Frame(
-                    FrameType.QUERY_REPLY,
-                    pending.request_id,
-                    encode_query_reply(
-                        values[offset : offset + n],
-                        found[offset : offset + n],
-                    ),
-                )
-            )
-            offset += n
+            return values, found
+        return self._query_table(keys, defaults)
 
     def _query_table(
         self,
@@ -676,21 +691,6 @@ class KVServer:
             values = values.copy()
             values[miss] = defaults[miss]
         return values, found
-
-    def _send_reply(
-        self, pending: _Pending, values: np.ndarray, found: np.ndarray
-    ) -> None:
-        """Reply to a zero-key frame without entering the coalescer."""
-        if pending.op == "insert":
-            payload = encode_insert_reply(0)
-            ftype = FrameType.INSERT_REPLY
-        elif pending.op == "query":
-            payload = encode_query_reply(values, found)
-            ftype = FrameType.QUERY_REPLY
-        else:
-            payload = encode_erase_reply(found)
-            ftype = FrameType.ERASE_REPLY
-        pending.conn.send(Frame(ftype, pending.request_id, payload))
 
     def _drain_queue(self, code: ErrorCode, message: str) -> None:
         while True:

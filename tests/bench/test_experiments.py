@@ -7,7 +7,6 @@ result *structure* plus basic sanity; the paper-shape assertions live in
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.bench import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core import _jit_cc

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.multivalue import MultiValueHashTable
 from repro.errors import ConfigurationError, InsertionError
-from repro.workloads.distributions import random_values, unique_keys, zipf_keys
+from repro.workloads.distributions import zipf_keys
 
 
 class TestBasics:

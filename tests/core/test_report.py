@@ -1,7 +1,6 @@
 """Tests for KernelReport."""
 
 import numpy as np
-import pytest
 
 from repro.constants import SECTOR_BYTES
 from repro.core.report import KernelReport

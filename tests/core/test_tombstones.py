@@ -6,13 +6,11 @@ reused without breaking reachability.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import TOMBSTONE_SLOT
 from repro.core.table import WarpDriveHashTable
-from repro.workloads.distributions import unique_keys
 
 
 def tiny_table(capacity=16, g=4, p_max=8):

@@ -6,12 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.hashing.families import (
-    DoubleHashFamily,
-    HashFunction,
-    make_double_family,
-    make_hash,
-)
+from repro.hashing.families import HashFunction, make_double_family, make_hash
 from repro.hashing.mixers import fmix32
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)

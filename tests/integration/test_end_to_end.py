@@ -145,7 +145,6 @@ class TestModelledPipelines:
     def test_vram_exhaustion_surfaces(self):
         """Oversized tables must fail like the real 16 GB card would."""
         from repro.errors import AllocationError
-        from repro.perfmodel.specs import P100
         from repro.simt.device import Device, GPUSpec
 
         small = GPUSpec(name="tiny", vram_bytes=1 << 16, mem_bandwidth=1e9)

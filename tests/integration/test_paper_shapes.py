@@ -7,7 +7,6 @@ experiment harness at a reduced (but statistically meaningful) size.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.bench import (

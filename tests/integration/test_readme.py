@@ -4,7 +4,6 @@ import pathlib
 import re
 
 import numpy as np
-import pytest
 
 README = pathlib.Path(__file__).resolve().parents[2] / "README.md"
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import AllocationError, ConfigurationError, DeviceError
 from repro.memory.buffer import DeviceBuffer, HostBuffer
-from repro.perfmodel.specs import P100
 from repro.simt.device import Device, GPUSpec
 
 

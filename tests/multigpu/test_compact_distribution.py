@@ -10,7 +10,6 @@ crosses 2^16 slots, exactly equal below the crossover.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.constants import PAIR_BYTES

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.exec.metrics import ShardSpan
-from repro.memory.transfer import MemcpyKind, TransferRecord
+from repro.memory.transfer import MemcpyKind
 from repro.multigpu.distributed_table import DistributedHashTable
 from repro.multigpu.topology import p100_nvlink_node
 from repro.obs.protocol import SCHEMA_VERSION, Reportable, to_jsonable

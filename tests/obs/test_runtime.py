@@ -2,8 +2,6 @@
 backend-independent span trees (serial == thread).
 """
 
-import numpy as np
-
 from repro import obs
 from repro.multigpu.distributed_table import DistributedHashTable
 from repro.multigpu.topology import p100_nvlink_node

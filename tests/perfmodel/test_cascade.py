@@ -1,6 +1,5 @@
 """Tests for distributed cascade timing."""
 
-import numpy as np
 import pytest
 
 from repro.multigpu.distributed_table import DistributedHashTable

@@ -1,6 +1,5 @@
 """Tests for the CPU (Folklore) timing model."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.cpu_map import FolkloreCpuMap

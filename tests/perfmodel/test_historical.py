@@ -6,7 +6,6 @@ counts→seconds model at the Fermi-era spec should land in that era's
 ballpark — a provenance check that the model is not a P100-only fit.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.cudpp_cuckoo import CudppCuckooTable

@@ -9,7 +9,6 @@ specific constants.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.baselines.cudpp_cuckoo import CudppCuckooTable

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.sanitize import fuzz
 from repro.sanitize.fuzz import (
     CHECK_NAMES,
     FuzzCase,
@@ -118,14 +119,43 @@ class TestCorpusAndMessages:
         bad.write_text("{not json")
         assert load_corpus(bad)["entries"] == []
 
-    def test_run_fuzz_writes_replayable_entries(self, tmp_path):
+    def test_run_fuzz_writes_replayable_entries(self, tmp_path, monkeypatch):
+        """A failing case is appended after the committed entries, in a
+        form that re-derives the same case."""
         corpus = tmp_path / "corpus.json"
+        committed = {"version": 1, "entries": [
+            {"case": FuzzCase.from_seed(0).to_dict(), "status": "ok"}
+        ]}
+        corpus.write_text(json.dumps(committed))
+
+        def fail_seed_one(case):
+            if case.seed == 1:
+                return FuzzFailure(case=case, check="query", detail="boom")
+            return None
+
+        monkeypatch.setattr(fuzz, "run_case", fail_seed_one)
         result = run_fuzz(max_cases=2, corpus_path=corpus, shrink_failures=False)
-        assert result.cases_run == 2
-        data = json.loads(corpus.read_text())
-        assert len(data["entries"]) == 2
-        replayed = FuzzCase.from_dict(data["entries"][0]["case"])
-        assert replayed == FuzzCase.from_seed(0)
+        assert result.cases_run == 2 and len(result.failures) == 1
+        assert result.corpus_path == str(corpus)
+        entries = json.loads(corpus.read_text())["entries"]
+        assert [e["status"] for e in entries] == ["fail", "ok"]
+        assert entries[0]["check"] == "query"
+        assert FuzzCase.from_dict(entries[0]["case"]) == FuzzCase.from_seed(1)
+
+    def test_clean_run_leaves_the_corpus_untouched(self, tmp_path):
+        corpus = tmp_path / "corpus.json"
+        original = json.dumps({"version": 1, "entries": []}) + "\n"
+        corpus.write_text(original)
+        result = run_fuzz(max_cases=2, corpus_path=corpus, shrink_failures=False)
+        assert result.ok and result.cases_run == 2
+        assert result.corpus_path is None
+        assert corpus.read_text() == original
+        # no corpus file appears where there was none either
+        result = run_fuzz(
+            max_cases=1, corpus_path=tmp_path / "new.json",
+            shrink_failures=False,
+        )
+        assert result.ok and not (tmp_path / "new.json").exists()
 
     def test_failure_message_has_replay_instructions(self):
         case = FuzzCase.from_seed(11)

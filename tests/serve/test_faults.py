@@ -156,28 +156,47 @@ class TestReconnect:
 
 
 class TestAdmissionOverflow:
+    """The admission budget holds one 1024-key insert frame (~8 KiB)
+    but not two.  A raw connection's frame is admitted first and held
+    in flight by the batch window, because the client under test is
+    connected but has sent nothing yet; the client's own frame then
+    arrives while those bytes are still charged."""
+
     def _tiny_server(self):
-        """Admission budget that holds ONE of a presplit 1024-key
-        insert's two ~4 KiB frames but not both, plus a long batch
-        window so the first frame's bytes stay in flight while the
-        second one arrives (the client sends all frames of a batch
-        before collecting replies)."""
         return KVServer.create(
             num_gpus=2,
             capacity=1 << 12,
-            admission_bytes=6 << 10,
+            admission_bytes=12 << 10,
             batch_window=0.25,
             cache=False,
         ).start()
+
+    def _hold_budget(self, server, seed: int) -> socket.socket:
+        """Send one insert frame on a new connection; return once the
+        server has charged its bytes against the budget."""
+        keys = unique_keys(1024, seed=seed)
+        sock = _raw_connection(server)
+        write_frame(sock, Frame(FrameType.INSERT, 1, encode_insert(keys, keys)))
+        deadline = time.monotonic() + 5.0
+        while server.budget.in_flight_bytes == 0:
+            assert time.monotonic() < deadline, "holder frame never admitted"
+            time.sleep(0.001)
+        return sock
+
+    def _release(self, holder: socket.socket) -> None:
+        assert read_frame(holder).type == FrameType.INSERT_REPLY
+        holder.close()
 
     def test_overflow_rejects_with_typed_overloaded(self):
         server = self._tiny_server()
         try:
             keys = unique_keys(1024, seed=6)
             with KVClient(server.address, name="flood") as client:
+                holder = self._hold_budget(server, seed=60)
                 with pytest.raises(ServeError) as err:
                     client.insert(keys, keys)
                 assert err.value.code == ErrorCode.OVERLOADED
+                self._release(holder)
             assert server.stats.get("serve.rejected.overloaded") >= 1
             assert server.stats.get("serve.rejected") >= 1
         finally:
@@ -194,7 +213,9 @@ class TestAdmissionOverflow:
                 retry_overloaded=12,
                 backoff=0.05,
             ) as client:
+                holder = self._hold_budget(server, seed=70)
                 assert client.insert(keys, values) == 1024
+                self._release(holder)
                 got, found = client.query(keys)
             assert found.all() and np.array_equal(got, values)
             # the retries themselves were counted as rejections
@@ -211,12 +232,33 @@ class TestAdmissionOverflow:
                 retry_overloaded=12, backoff=0.05,
             ) as client:
                 for _ in range(3):
+                    holder = self._hold_budget(server, seed=90)
                     client.insert(keys, keys)
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if server.budget.in_flight_bytes == 0:
-                    break
-                time.sleep(0.01)
+                    self._release(holder)
+            assert server.stats.get("serve.rejected.overloaded") >= 3
+            # both frames were answered, and bytes settle before replies
+            assert server.budget.in_flight_bytes == 0
+        finally:
+            server.close()
+
+    def test_frame_over_the_whole_budget_is_too_large(self):
+        """Retrying cannot help a frame bigger than the budget itself,
+        so it is answered ``TOO_LARGE`` at once, not ``OVERLOADED``."""
+        server = self._tiny_server()
+        try:
+            keys = unique_keys(2048, seed=11)  # one ~16 KiB frame
+            with KVClient(
+                server.address, name="huge",
+                retry_overloaded=12, backoff=0.05,
+            ) as client:
+                with pytest.raises(ServeError) as err:
+                    client.insert(keys, keys)
+                assert err.value.code == ErrorCode.TOO_LARGE
+                assert "never fit" in str(err.value)
+                # the connection survives and smaller frames still fit
+                assert client.insert(keys[:1024], keys[:1024]) == 1024
+            assert server.stats.get("serve.rejected.too_large") == 1
+            assert server.stats.get("serve.rejected.overloaded") == 0
             assert server.budget.in_flight_bytes == 0
         finally:
             server.close()
@@ -224,9 +266,7 @@ class TestAdmissionOverflow:
 
 class TestDrainOnShutdown:
     def test_ops_after_close_are_shutting_down(self, server):
-        # single-frame client: the server hangs up right after answering
-        # the first post-stop frame, so a presplit fan-out would race it
-        with KVClient(server.address, name="late", presplit=False) as client:
+        with KVClient(server.address, name="late") as client:
             server._stop.set()  # drain mode: reads still alive
             with pytest.raises(ServeError) as err:
                 client.query(unique_keys(16, seed=10))

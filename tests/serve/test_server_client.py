@@ -9,11 +9,22 @@ accounting, and the STATS/snapshot surfaces.
 
 from __future__ import annotations
 
+import socket
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.serve import KVClient, KVServer
 from repro.serve.cache import HotKeyCache
+from repro.serve.protocol import (
+    Frame,
+    FrameType,
+    encode_query,
+    read_frame,
+    write_frame,
+)
 from repro.workloads.distributions import random_values, unique_keys
 
 
@@ -64,18 +75,6 @@ class TestRoundTrips:
         values, found = client.query(empty)
         assert values.size == 0 and found.size == 0
         assert client.erase(empty).size == 0
-
-    def test_presplit_and_plain_agree(self, server):
-        keys = unique_keys(4096, seed=8)
-        values = random_values(4096, seed=9)
-        with KVClient(server.address, name="presplit") as pre:
-            pre.insert(keys, values)
-            split_values, split_found = pre.query(keys)
-        with KVClient(server.address, name="plain", presplit=False) as plain:
-            plain_values, plain_found = plain.query(keys)
-        assert split_found.all() and plain_found.all()
-        assert np.array_equal(split_values, plain_values)
-        assert np.array_equal(split_values, values)
 
     def test_hello_learns_topology(self, server, client):
         assert client.num_gpus == server.table.num_gpus
@@ -148,17 +147,10 @@ class TestAccountingSurfaces:
         assert snap["cache"]["capacity"] == 512
 
     def test_stats_frame_matches_server_snapshot(self, server, client):
-        import time
-
         keys = unique_keys(64, seed=18)
         client.insert(keys, keys)
-        # the reply races the counter bump by a few microseconds
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            over_the_wire = client.stats()
-            if over_the_wire["counters"].get("serve.ops.insert") == 64:
-                break
-            time.sleep(0.01)
+        # counters settle before the reply goes out: no polling needed
+        over_the_wire = client.stats()
         assert over_the_wire["table"]["size"] == len(server.table)
         assert over_the_wire["counters"]["serve.ops.insert"] == 64
 
@@ -183,6 +175,73 @@ class TestAccountingSurfaces:
         stats = cache.stats()
         assert stats.misses >= 128
         assert stats.hits >= 1
+
+
+class TestCoalescing:
+    """A merged group closes once every live connection has a frame in
+    it; ``batch_window`` only bounds the wait for silent connections."""
+
+    def test_closed_loop_clients_do_not_wait_out_the_window(self):
+        requests = 20
+        with KVServer.create(
+            num_gpus=4, capacity=1 << 13, batch_window=1.0
+        ) as srv:
+            errors: list[BaseException] = []
+
+            def drive(c: int) -> None:
+                try:
+                    with KVClient(srv.address, name=f"loop-{c}") as kv:
+                        for j in range(requests):
+                            keys = unique_keys(256, seed=1000 * c + j)
+                            kv.query(keys)
+                except BaseException as exc:  # surfaced below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=drive, args=(c,)) for c in range(2)
+            ]
+            start = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            elapsed = time.perf_counter() - start
+            assert not errors, errors
+            batches = srv.stats.get("serve.batches")
+            merged = srv.stats.get("serve.coalesced_requests")
+        # waiting out the window on every batch would take >= 20 s
+        assert elapsed < 5.0, elapsed
+        assert merged == 2 * requests
+        assert merged / batches > 1
+
+    def test_idle_connection_keeps_the_window_open(self):
+        """Frames pipelined on one connection still merge into one
+        batch while a second, silent connection holds the window."""
+        srv = KVServer.create(
+            num_gpus=4, capacity=1 << 13, batch_window=0.25
+        ).start()
+        try:
+            with KVClient(srv.address, name="idle"), socket.socket(
+                socket.AF_UNIX, socket.SOCK_STREAM
+            ) as sock:
+                sock.settimeout(5.0)
+                sock.connect(srv.address)
+                frames = [
+                    Frame(
+                        FrameType.QUERY,
+                        rid,
+                        encode_query(unique_keys(64, seed=rid)),
+                    )
+                    for rid in range(1, 5)
+                ]
+                for frame in frames:
+                    write_frame(sock, frame)
+                replies = {read_frame(sock).request_id for _ in frames}
+            assert replies == {1, 2, 3, 4}
+            assert srv.stats.get("serve.batches") == 1
+            assert srv.stats.get("serve.coalesced_requests") == 4
+        finally:
+            srv.close()
 
 
 class TestLifecycle:

@@ -1,7 +1,6 @@
 """Tests for transaction accounting."""
 
 import numpy as np
-import pytest
 
 from repro.constants import SECTOR_BYTES
 from repro.simt.counters import TransactionCounter, sectors_for_access, sectors_for_lanes

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simt.occupancy import (
-    PASCAL_SM,
-    KernelResources,
-    OccupancyResult,
-    SMResources,
-    occupancy,
-)
+from repro.simt.occupancy import PASCAL_SM, KernelResources, occupancy
 
 
 class TestLimits:

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
-    Summary,
     cdf_points,
     geometric_mean,
     harmonic_mean,

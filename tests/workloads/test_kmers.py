@@ -1,6 +1,5 @@
 """Tests for k-mer extraction."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
